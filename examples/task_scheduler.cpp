@@ -1,5 +1,5 @@
 // Generic persistent-thread task scheduling beyond BFS: a dynamic task
-// DAG executed by run_persistent_tasks() with a pluggable queue variant.
+// DAG executed by tasks::run_host_tasks() with a pluggable queue variant.
 //
 // The workload mimics a dependency-driven build/render pipeline: each
 // task optionally spawns children with data-dependent fan-out (the
@@ -11,7 +11,7 @@
 #include <map>
 
 #include "core/counters.h"
-#include "core/pt_driver.h"
+#include "tasks/task_engine.h"
 #include "util/args.h"
 #include "util/prng.h"
 
@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   simt::DeviceConfig cfg = simt::spectre_config();
   simt::Device dev(cfg);
 
-  // Token encoding: low 8 bits depth, rest a unique task id.
+  // Task payloads are unique ids; the framework tracks each task's
+  // spawn depth.
   const QueueLayout layout = make_device_queue(dev, 1 << 22);
   auto queue = make_queue_variant(variant, layout);
 
@@ -42,11 +43,10 @@ int main(int argc, char** argv) {
   std::uint64_t next_id = 1;
   std::map<std::uint64_t, std::uint64_t> tasks_per_depth;
 
-  const std::vector<std::uint64_t> seeds{0};  // root task, depth 0
-  const simt::RunResult run = run_persistent_tasks(
-      dev, *queue, seeds,
-      [&](std::uint64_t token, const auto& emit) {
-        const std::uint64_t depth = token & 0xff;
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};  // root task, depth 0
+  const simt::RunResult run = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t depth = ctx.depth();
         tasks_per_depth[depth] += 1;
         if (depth >= max_depth) return;
         // Data-dependent fan-out; shallow tasks always spawn so the DAG
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         const std::uint64_t fanout =
             depth < 3 ? 2 + rng.below(3) : rng.below(4);  // 2-4 then 0-3
         for (std::uint64_t i = 0; i < fanout; ++i) {
-          emit((next_id++ << 8) | (depth + 1));
+          ctx.spawn(next_id++, 0);
         }
       });
 

@@ -21,17 +21,6 @@ using simt::LaneMask;
 using simt::Wave;
 using simt::kWaveWidth;
 
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
 // Per-lane vertex-processing registers (the cluster twin of pt_bfs's
 // LaneWork: `cost` is the enumeration base, whatever kind the token was).
 struct LaneWork {

@@ -31,6 +31,10 @@
 // the fuzz checker's closure-monotonicity invariant demands. With a
 // heuristic this argument needs h *consistent* (h(v) <= w + h(child));
 // an inconsistent h can publish into a closed band and aborts the run.
+//
+// The driver is a client of the task engine (the relax client in
+// pt_relax.cc): the stale-token skip finishes a task at arrival, the
+// light/heavy sweep is its work step.
 #pragma once
 
 #include <functional>
@@ -39,7 +43,8 @@
 
 namespace scq::bfs {
 
-struct PtSsspDeltaOptions {
+// Observability sinks come from tasks::RunSinks (attached per attempt).
+struct PtSsspDeltaOptions : tasks::RunSinks {
   // Bucket width. 0 = auto: the graph's mean edge weight (>= 1), the
   // standard delta-stepping compromise between bucket count (small
   // delta) and intra-bucket wasted work (large delta).
@@ -58,16 +63,6 @@ struct PtSsspDeltaOptions {
   double queue_headroom = 3.0;
   std::uint64_t queue_capacity = 0;  // 0 = auto; deadlock retries double
   std::uint32_t num_workgroups = 0;
-  // Observability sinks (not owned; nullptr disables) — identical
-  // attach-per-attempt semantics to PtSsspOptions.
-  simt::Telemetry* telemetry = nullptr;
-  simt::TraceRecorder* trace = nullptr;
-  simt::OpHistory* history = nullptr;
-  simt::TaskTrace* task_trace = nullptr;
-  simt::SimProfiler* profiler = nullptr;
-  // Optional flight-recorder sink; see PtBfsOptions::recorder (always
-  // attached internally so deadlocked attempts dump black boxes).
-  simt::FlightRecorder* recorder = nullptr;
 };
 
 // Runs delta-stepping SSSP from `source` on a BucketedMultiQueue.

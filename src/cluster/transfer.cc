@@ -7,12 +7,6 @@
 
 namespace scq::cluster {
 
-namespace {
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-}  // namespace
-
 TransferRing TransferRing::create(simt::Device& src, std::uint64_t capacity) {
   if (capacity == 0) {
     throw simt::SimError("TransferRing::create: capacity must be positive");

@@ -10,17 +10,6 @@ namespace scq {
 
 namespace {
 
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
 QueueLayout make_banded_layout(simt::Device& dev, std::uint64_t capacity,
                                std::uint32_t num_bands) {
   if (num_bands == 0 || num_bands > BucketedMultiQueue::kMaxBands) {

@@ -11,17 +11,6 @@ namespace scq {
 
 namespace {
 
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
 constexpr int kMaxLockRounds = 1 << 20;
 
 }  // namespace

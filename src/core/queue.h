@@ -44,6 +44,8 @@ using simt::Addr;
 using simt::Kernel;
 using simt::LaneMask;
 using simt::Wave;
+using simt::bit;
+using simt::for_lanes;
 using simt::kNoTask;
 using simt::kWaveWidth;
 
@@ -317,9 +319,9 @@ class DeviceQueue {
   // count (the default forwards, same simulated cost); the banded
   // multi-queue needs the tickets themselves to credit each band's
   // Completed counter — its closure-frontier termination depends on
-  // knowing *which* band finished work, not just how much. Drivers that
-  // collect finished tickets anyway (pt_driver, the SSSP kernels) call
-  // this form. Entries may be kNoTask for untraceable schedulers.
+  // knowing *which* band finished work, not just how much. The task
+  // engine (tasks/task_engine.h) reports every completion through this
+  // form. Entries may be kNoTask for untraceable schedulers.
   virtual Kernel<void> report_complete_tickets(
       Wave& w, std::span<const std::uint64_t> tickets);
 

@@ -14,6 +14,7 @@
 // failures emerge from contention exactly as on hardware (§3.2).
 #pragma once
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <span>
@@ -27,6 +28,19 @@
 namespace simt {
 
 class Device;
+
+// Lane-mask helpers (LaneMask bit i == lane i, see sim/config.h).
+constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
+
+// Calls f(lane) for every set lane of `mask`, lowest lane first.
+template <typename F>
+void for_lanes(LaneMask mask, F&& f) {
+  while (mask) {
+    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
+    f(lane);
+    mask &= mask - 1;
+  }
+}
 
 struct ComputeUnit {
   std::uint32_t id = 0;

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/black_box.h"
 #include "core/bucketed_queue.h"
 #include "core/counters.h"
 #include "core/ext_schedulers.h"
@@ -17,30 +16,20 @@ namespace scq::tasks {
 
 namespace {
 
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
-// The persistent-thread work cycle, structured exactly as the proven
-// pt_bfs kernel (which is itself re-expressed as a TaskWaveClient and
-// pinned bit-exact against this loop): the client hooks replace the
-// BFS-specific prolog and edge loop, completion reporting carries the
-// finished tickets (a no-op refinement for single-band queues, the
-// closure-frontier requirement for banded ones), and banded queues run
-// slot acquisition for assigned-only waves too (closed-band rescue).
+// The persistent-thread work cycle (Algorithm 1). Completion reporting
+// carries the finished tickets (a no-op refinement for single-band
+// queues, the closure-frontier requirement for banded ones), and banded
+// queues run slot acquisition for assigned-only waves too (closed-band
+// rescue).
 Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
                          const TaskEngineOptions& opt) {
   WaveQueueState st{};
   st.on_reserve = opt.on_reserve;
   std::array<std::uint64_t, kWaveWidth> tokens{};
   std::array<std::uint64_t, kWaveWidth> lane_ticket = filled_lanes(kNoTask);
+  // Tickets finished in the current cycle, [0, finished): lanes finished
+  // at arrival first, then work-step finishers (disjoint lanes).
+  std::array<std::uint64_t, kWaveWidth> done_tickets{};
   LaneMask working = 0;
   const bool banded = queue.num_bands() > 1;
 
@@ -49,6 +38,7 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
     if (co_await queue.all_done(w)) break;
 
     bool progress = false;
+    std::uint32_t finished = 0;
 
     // Dequeue phase 1: lanes that neither hold a task nor monitor a
     // slot (nor sit on an eagerly delivered token) ask for work.
@@ -69,7 +59,7 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
     }
 
     // Dequeue phase 2: non-atomic arrival check; arrived lanes run the
-    // client's enumeration prolog.
+    // client's prolog.
     if (st.assigned || st.ready) {
       const LaneMask arrived = co_await queue.check_arrival(w, st, tokens);
       if (arrived) {
@@ -77,8 +67,11 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
         for_lanes(arrived, [&](unsigned lane) {
           lane_ticket[lane] = st.deliver_ticket[lane];
         });
-        co_await client.on_arrival(w, st, arrived, tokens);
-        working |= arrived;
+        const LaneMask done = co_await client.on_arrival(w, st, arrived, tokens);
+        for_lanes(done, [&](unsigned lane) {
+          done_tickets[finished++] = lane_ticket[lane];
+        });
+        working |= arrived & ~done;
       }
     }
 
@@ -87,8 +80,6 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
     // parked buffer can absorb in the worst case (work_budget children
     // per lane) — production throttles, consumption never does.
     st.clear_produce();
-    std::uint32_t finished = 0;
-    std::array<std::uint64_t, kWaveWidth> done_tickets{};
     LaneMask run = working;
     if (st.has_parked()) {
       std::uint32_t allow =
@@ -108,7 +99,7 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
         done_tickets[finished++] = lane_ticket[lane];
       });
       working &= ~done;
-      w.bump(kTasksProcessed, finished);
+      w.bump(kTasksProcessed, static_cast<std::uint64_t>(std::popcount(done)));
     }
 
     // Publish before crediting completions: a task's children must be
@@ -288,14 +279,14 @@ class HostTaskClient final : public TaskWaveClient {
  public:
   explicit HostTaskClient(HostTaskShared& shared) : shared_(shared) {}
 
-  Kernel<void> on_arrival(Wave& w, WaveQueueState& st, LaneMask arrived,
-                          std::span<const std::uint64_t> tokens) override {
+  Kernel<LaneMask> on_arrival(Wave& w, WaveQueueState& st, LaneMask arrived,
+                              std::span<const std::uint64_t> tokens) override {
     (void)w;
     for_lanes(arrived, [&](unsigned lane) {
       token_[lane] = tokens[lane];
       ticket_[lane] = st.deliver_ticket[lane];
     });
-    co_return;
+    co_return 0;
   }
 
   Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
@@ -463,83 +454,36 @@ TaskGraphResult run_task_graph(const simt::DeviceConfig& config,
                                std::span<const TaskSeed> seeds,
                                const HostTask& task,
                                const TaskGraphOptions& options) {
-  double headroom = options.queue_headroom;
-  std::uint64_t explicit_capacity = options.queue_capacity;
-  std::string last_black_box;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    simt::Device dev(config);
-
-    const std::uint64_t hint = std::max<std::uint64_t>(
-        {seeds.size(), options.payload_hint, std::uint64_t{1}});
-    std::uint64_t capacity =
-        explicit_capacity != 0
-            ? explicit_capacity
-            : static_cast<std::uint64_t>(static_cast<double>(hint) * headroom) +
-                  kWaveWidth;
-    std::unique_ptr<DeviceQueue> queue;
-    if (options.variant == QueueVariant::kMq) {
-      const std::uint32_t bands = std::clamp<std::uint32_t>(
-          options.num_bands, 1, BucketedMultiQueue::kMaxBands);
-      // Capacity splits evenly across bands, and band routing is
-      // workload-defined, so give every band the full auto-sized ring
-      // unless the caller pinned the total explicitly.
-      if (explicit_capacity == 0) capacity *= bands;
-      queue = std::make_unique<BucketedMultiQueue>(
-          dev, capacity, bands, BucketedMultiQueue::cost_band_map());
-    } else {
-      queue = make_scheduler(dev, options.variant, capacity);
-    }
-
-    // Observability re-attach per attempt (pt_bfs conventions: the
-    // trace-like sinks hold exactly the final attempt; telemetry
-    // accumulates).
-    if (options.trace) {
-      options.trace->clear();
-      dev.attach_tracer(options.trace);
-    }
-    if (options.history) {
-      options.history->clear();
-      dev.attach_op_history(options.history);
-    }
-    if (options.task_trace) {
-      options.task_trace->clear();
-      stamp_task_meta(*options.task_trace, *queue);
-      dev.attach_task_trace(options.task_trace);
-    }
-    if (options.telemetry) {
-      options.telemetry->clear_probes();
-      options.telemetry->mirror_counters_to(options.trace);
-      dev.attach_telemetry(options.telemetry);
-    }
-    if (options.profiler) dev.attach_profiler(options.profiler);
-    simt::FlightRecorder local_recorder;
-    simt::FlightRecorder* recorder =
-        options.recorder != nullptr ? options.recorder : &local_recorder;
-    recorder->clear();
-    dev.attach_flight_recorder(recorder);
-
-    if (options.on_attempt) options.on_attempt();
-    TaskGraphResult result;
-    result.run = run_host_tasks(dev, *queue, seeds, task, options.host,
-                                &result.stats);
-    if (result.run.aborted) {
-      last_black_box = dump_black_box(dev, queue.get(),
-                                      result.run.abort_reason);
-    }
-    if (result.run.aborted && attempt < 8) {
-      // The deadlock detector fired: the in-flight working set outgrew
-      // the ring, so retry with a larger queue.
-      if (explicit_capacity != 0) {
-        explicit_capacity *= 2;
-      } else {
-        headroom *= 2.0;
-      }
-      continue;
-    }
-    result.attempts = attempt;
-    result.black_box = std::move(last_black_box);
-    return result;
+  const bool banded = options.variant == QueueVariant::kMq;
+  if (banded && (options.num_bands == 0 ||
+                 options.num_bands > BucketedMultiQueue::kMaxBands)) {
+    throw simt::SimError("run_task_graph: num_bands out of range");
   }
+  const AttemptPlan plan{
+      .base_count = std::max<std::uint64_t>(
+          {seeds.size(), options.payload_hint, std::uint64_t{1}}),
+      .headroom = options.queue_headroom,
+      .capacity = options.queue_capacity};
+  TaskGraphResult result;
+  AttemptsResult a = run_attempts(
+      config, options, plan,
+      [&](simt::Device& dev,
+          std::uint64_t capacity) -> std::unique_ptr<DeviceQueue> {
+        if (!banded) return make_scheduler(dev, options.variant, capacity);
+        // Capacity splits evenly across bands, and band routing is
+        // workload-defined, so give every band the full auto-sized ring
+        // unless the caller pinned the total explicitly.
+        if (options.queue_capacity == 0) capacity *= options.num_bands;
+        return std::make_unique<BucketedMultiQueue>(
+            dev, capacity, options.num_bands,
+            BucketedMultiQueue::cost_band_map());
+      },
+      [&](simt::Device& dev, DeviceQueue& queue) {
+        if (options.on_attempt) options.on_attempt();
+        return run_host_tasks(dev, queue, seeds, task, options.host,
+                              &result.stats);
+      });
+  return with_attempts(std::move(result), std::move(a));
 }
 
 }  // namespace scq::tasks

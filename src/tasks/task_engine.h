@@ -3,19 +3,18 @@
 //
 // Two layers share one wave loop:
 //
-//   TaskWaveClient / run_task_waves — the kernel-side interface.
-//     The engine owns the persistent-thread work cycle (Algorithm 1:
-//     all-done check, slot acquisition, arrival polling, backpressure
-//     throttle, publish, completion credits) and delegates exactly two
-//     things to the client: the enumeration prolog for arrived lanes
-//     and one work step over the running lanes. The loop structure is
-//     the proven pt_bfs kernel's, verbatim — pt_bfs itself is
-//     re-expressed as a client, and a test pins the re-expression
-//     bit-exact against the original inline kernel at seed 0 — with
-//     one extension: completions are reported per ticket, so the
-//     banded multi-queue's closure frontier works unchanged, and on
-//     banded queues slot acquisition also runs for assigned-only waves
-//     (the closed-band rescue, as in the delta-stepping driver).
+//   TaskWaveClient / run_task_waves — the kernel-side interface, and the
+//     only persistent work loop of every single-device run. The engine
+//     owns the work cycle (Algorithm 1: all-done check, slot
+//     acquisition, arrival polling, backpressure throttle, publish,
+//     completion credits) and delegates exactly two things to the
+//     client: the prolog for arrived lanes and one work step over the
+//     running lanes. Completions are reported per ticket, so the banded
+//     multi-queue's closure frontier works unchanged, and on banded
+//     queues slot acquisition also runs for assigned-only waves (the
+//     closed-band rescue). The label-correcting BFS / SSSP /
+//     delta-stepping drivers (bfs/pt_relax.cc) and the host-callback
+//     layer below are its clients.
 //
 //   TaskContext / run_host_tasks / run_task_graph — the host-callback
 //     task API. User tasks are host functions handed a TaskContext:
@@ -51,6 +50,7 @@
 
 #include "core/queue.h"
 #include "sim/device.h"
+#include "tasks/attempts.h"
 #include "tasks/task_token.h"
 
 namespace scq::tasks {
@@ -59,17 +59,22 @@ namespace scq::tasks {
 
 // Per-wave client: one instance per persistent wave, created by the
 // factory below, holding whatever per-lane registers the application
-// needs (the BFS client keeps cursor/row-end/cost arrays).
+// needs (the relax client keeps cursor/row-end/cost arrays).
 class TaskWaveClient {
  public:
   virtual ~TaskWaveClient() = default;
 
-  // Enumeration prolog for lanes whose token just arrived. `tokens` is
-  // valid at the arrived lanes; st.deliver_ticket carries each lane's
-  // trace id. Runs before the work phase of the same cycle.
-  virtual Kernel<void> on_arrival(Wave& w, WaveQueueState& st,
-                                  LaneMask arrived,
-                                  std::span<const std::uint64_t> tokens) = 0;
+  // Prolog for lanes whose token just arrived. `tokens` is valid at the
+  // arrived lanes; st.deliver_ticket carries each lane's trace id. Runs
+  // before the work phase of the same cycle, and must not push children
+  // (the publish buffer is reset after it). Returns the lanes whose task
+  // already finished here (delta-stepping's stale-token skip): the
+  // engine reports their tickets complete in this cycle, ahead of the
+  // work-step finishers, and they never enter a work step — nor the
+  // kTasksProcessed count.
+  virtual Kernel<LaneMask> on_arrival(
+      Wave& w, WaveQueueState& st, LaneMask arrived,
+      std::span<const std::uint64_t> tokens) = 0;
 
   // One work step over `run`. Push children with st.push_token (at most
   // the engine's work_budget per lane per step — the backpressure
@@ -89,7 +94,7 @@ using ReserveHook = std::function<void(std::uint64_t ticket,
 
 struct TaskEngineOptions {
   // Worst-case children per lane per work step: the publish-
-  // backpressure throttle denominator (pt_bfs semantics).
+  // backpressure throttle denominator.
   unsigned work_budget = 4;
   // Wait between polls when a work cycle makes no progress.
   simt::Cycle poll_interval = 240;
@@ -181,23 +186,25 @@ struct HostTaskOptions {
   std::uint64_t max_spawn_depth = 0;
 };
 
-// Runs host-callback tasks on an existing device + queue (the fuzz
-// harness entry point: it brings its own schedule-perturbed device and
-// deliberately tiny ring). Seeds the queue itself. `stats` (optional)
-// receives the run's framework statistics.
+// Runs host-callback tasks on an existing device + queue (for callers
+// that bring their own, such as the fuzz harness with its schedule-
+// perturbed device and deliberately tiny ring). Seeds the queue itself
+// and registers the scheduler probes on the device's telemetry.
+// `stats` (optional) receives the run's framework statistics.
 simt::RunResult run_host_tasks(simt::Device& dev, DeviceQueue& queue,
                                std::span<const TaskSeed> seeds,
                                const HostTask& task,
                                const HostTaskOptions& options = {},
                                TaskStats* stats = nullptr);
 
-// High-level front-end mirroring run_pt_bfs: builds a fresh device per
-// attempt, sizes and constructs the queue variant (mq gets one ring per
-// band and the cluster cost map), attaches observability, and retries
-// with doubled capacity if the publish-deadlock detector fires.
-struct TaskGraphOptions {
+// High-level front-end on the attempt harness (tasks/attempts.h): sizes
+// and constructs the queue variant per attempt (mq gets one ring per
+// band and the cluster cost map) and retries with doubled capacity if
+// the publish-deadlock detector fires.
+struct TaskGraphOptions : RunSinks {
   QueueVariant variant = QueueVariant::kRfan;
-  // Bands for QueueVariant::kMq (ignored otherwise).
+  // Bands for QueueVariant::kMq, in [1, kMaxBands] (SimError otherwise;
+  // ignored for the other variants).
   std::uint32_t num_bands = 4;
   // Auto sizing: capacity = max(seeds, payload_hint) * headroom +
   // kWaveWidth; banded queues additionally guarantee every band a ring
@@ -213,14 +220,6 @@ struct TaskGraphOptions {
   // state (labels, residuals, colors) MUST reset it here or a retried
   // attempt starts from a half-mutated world.
   std::function<void()> on_attempt;
-  // Observability sinks, pt_bfs conventions (not owned; nullptr
-  // disables; cleared/attached per attempt).
-  simt::Telemetry* telemetry = nullptr;
-  simt::TraceRecorder* trace = nullptr;
-  simt::OpHistory* history = nullptr;
-  simt::TaskTrace* task_trace = nullptr;
-  simt::SimProfiler* profiler = nullptr;
-  simt::FlightRecorder* recorder = nullptr;
 };
 
 struct TaskGraphResult {

@@ -25,7 +25,7 @@
 //                         reproduce serial greedy-by-id exactly.
 //
 // Workload state (labels, residuals, colors) is host-side, like the
-// pt_driver fuzz workloads: the framework models the *scheduling*
+// fuzz harness's workloads: the framework models the *scheduling*
 // traffic — queue protocol, spawn storms, dependency stalls — not the
 // application's memory system.
 #pragma once

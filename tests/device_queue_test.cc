@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/counters.h"
-#include "core/pt_driver.h"
 #include "core/queue.h"
 #include "sim/device.h"
+#include "tasks/task_engine.h"
 
 namespace scq {
 namespace {
@@ -376,11 +376,11 @@ TEST(RfanQueueTest, NoCasEverIssued) {
   Device dev(test_config());
   const QueueLayout layout = make_device_queue(dev, 256);
   RfanQueue queue(layout);
-  std::vector<std::uint64_t> seeds(64);
-  std::iota(seeds.begin(), seeds.end(), 0);
+  std::vector<tasks::TaskSeed> seeds(64);
+  for (std::uint64_t i = 0; i < seeds.size(); ++i) seeds[i] = {i, 0};
 
-  const RunResult result = run_persistent_tasks(
-      dev, queue, seeds, [](std::uint64_t, const auto&) {});
+  const RunResult result =
+      tasks::run_host_tasks(dev, queue, seeds, [](tasks::TaskContext&) {});
   EXPECT_EQ(result.stats.cas_attempts, 0u) << "retry-free property violated";
   EXPECT_FALSE(result.aborted);
 }
@@ -513,16 +513,16 @@ TEST_P(TreeConservation, EveryTaskProcessedExactlyOnce) {
   // Token encodes its depth in the low bits; host map counts visits.
   std::map<std::uint64_t, int> visits;
   std::uint64_t next_id = 1;
-  const std::vector<std::uint64_t> seeds{0};  // root token: id 0, depth 0
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};  // root: id 0, depth 0
 
-  const RunResult result = run_persistent_tasks(
-      dev, *queue, seeds,
-      [&](std::uint64_t token, const auto& emit) {
+  const RunResult result = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
         visits[token] += 1;
         const std::uint64_t token_depth = token & 0xff;
         if (token_depth < tree.depth) {
           for (std::uint64_t i = 0; i < tree.fanout; ++i) {
-            emit((next_id++ << 8) | (token_depth + 1));
+            ctx.spawn((next_id++ << 8) | (token_depth + 1), 0);
           }
         }
       });
@@ -559,16 +559,17 @@ TEST(PtDriverTest, DeterministicAcrossIdenticalRuns) {
     Device dev(test_config());
     const QueueLayout layout = make_device_queue(dev, 4096);
     RfanQueue queue(layout);
-    std::vector<std::uint64_t> seeds{0};
+    const std::vector<tasks::TaskSeed> seeds{{0, 0}};
     std::uint64_t next = 1;
-    return run_persistent_tasks(dev, queue, seeds,
-                                [&](std::uint64_t token, const auto& emit) {
-                                  if ((token & 0xff) < 4) {
-                                    for (int i = 0; i < 3; ++i) {
-                                      emit((next++ << 8) | ((token & 0xff) + 1));
-                                    }
-                                  }
-                                });
+    return tasks::run_host_tasks(
+        dev, queue, seeds, [&](tasks::TaskContext& ctx) {
+          const std::uint64_t token = ctx.payload();
+          if ((token & 0xff) < 4) {
+            for (int i = 0; i < 3; ++i) {
+              ctx.spawn((next++ << 8) | ((token & 0xff) + 1), 0);
+            }
+          }
+        });
   };
   const RunResult a = run();
   const RunResult b = run();
@@ -582,16 +583,17 @@ TEST(PtDriverTest, RfanUsesFewerAtomicsThanBase) {
     Device dev(test_config(8, 4));
     const QueueLayout layout = make_device_queue(dev, 1 << 16);
     auto queue = make_queue_variant(variant, layout);
-    std::vector<std::uint64_t> seeds{0};
+    const std::vector<tasks::TaskSeed> seeds{{0, 0}};
     std::uint64_t next = 1;
-    return run_persistent_tasks(dev, *queue, seeds,
-                                [&](std::uint64_t token, const auto& emit) {
-                                  if ((token & 0xff) < 6) {
-                                    for (int i = 0; i < 4; ++i) {
-                                      emit((next++ << 8) | ((token & 0xff) + 1));
-                                    }
-                                  }
-                                });
+    return tasks::run_host_tasks(
+        dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+          const std::uint64_t token = ctx.payload();
+          if ((token & 0xff) < 6) {
+            for (int i = 0; i < 4; ++i) {
+              ctx.spawn((next++ << 8) | ((token & 0xff) + 1), 0);
+            }
+          }
+        });
   };
   const RunResult base = run(QueueVariant::kBase);
   const RunResult rfan = run(QueueVariant::kRfan);

@@ -10,9 +10,9 @@
 #include "bfs/pt_bfs.h"
 #include "core/counters.h"
 #include "core/ext_schedulers.h"
-#include "core/pt_driver.h"
 #include "graph/bfs_ref.h"
 #include "graph/generators.h"
+#include "tasks/task_engine.h"
 
 namespace scq {
 namespace {
@@ -286,12 +286,15 @@ TEST_P(ExtVariantE2E, TreeConservationThroughPtDriver) {
   Device dev(test_config(4, 2));
   auto queue = make_scheduler(dev, GetParam(), 1 << 14);
   std::uint64_t next_id = 1, visits = 0;
-  const std::vector<std::uint64_t> seeds{0};
-  const auto run = run_persistent_tasks(
-      dev, *queue, seeds, [&](std::uint64_t token, const auto& emit) {
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};
+  const auto run = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
         ++visits;
         if ((token & 0xff) < 5) {
-          for (int i = 0; i < 3; ++i) emit((next_id++ << 8) | ((token & 0xff) + 1));
+          for (int i = 0; i < 3; ++i) {
+            ctx.spawn((next_id++ << 8) | ((token & 0xff) + 1), 0);
+          }
         }
       });
   EXPECT_FALSE(run.aborted) << run.abort_reason;

@@ -7,7 +7,6 @@
 #include "core/black_box.h"
 #include "core/bucketed_queue.h"
 #include "core/host_queue.h"
-#include "core/pt_driver.h"
 #include "tasks/task_engine.h"
 #include "sim/flight_recorder.h"
 #include "util/prng.h"
@@ -128,96 +127,82 @@ FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
     queue = make_queue_variant(c.variant, layout);
   }
 
-  // Deterministic irregular task graphs. Children always carry larger
-  // ids than their parent, so every workload terminates; kRandom allows
-  // duplicate children (several parents emit the same id) with a global
-  // emission cap to bound the blow-up.
+  // Deterministic irregular task graphs on the task framework. Children
+  // always carry larger ids than their parent, so every workload
+  // terminates; kRandom allows duplicate children (several parents emit
+  // the same id) with a global emission cap to bound the blow-up. The
+  // first three spawn everything into band 0 (bare-id tokens, routed on
+  // mq by the id-proportional map above).
+  //
+  // kTasks covers the framework's own flavors: a binary spawn tree where
+  // every ticket past the seed is created from a delivery, with
+  // seed-chosen single respawns (duplicate payloads through new
+  // tickets) and defer/credit self-releases (shadow tasks with ids >=
+  // n) — so the exactly-once checker sees dynamically created tickets of
+  // every framework flavor.
   const std::uint64_t n = c.num_tasks;
   std::uint64_t emitted = 0;
   const std::uint64_t emit_cap = 4 * n;
-  TaskFn task = [&](std::uint64_t token,
-                    const std::function<void(std::uint64_t)>& emit) {
+  const std::uint64_t bands = mq_bands;
+  const auto band_for = [bands, n](std::uint64_t id) {
+    return bands <= 1 ? 0 : std::min<std::uint64_t>(id * bands / n, bands - 1);
+  };
+  std::vector<char> respawned(n, 0);
+  const tasks::HostTask task = [&](tasks::TaskContext& ctx) {
+    const std::uint64_t t = ctx.payload();
     switch (c.workload) {
       case Workload::kTree:
-        if (2 * token + 1 < n) emit(2 * token + 1);
-        if (2 * token + 2 < n) emit(2 * token + 2);
+        if (2 * t + 1 < n) ctx.spawn(2 * t + 1, 0);
+        if (2 * t + 2 < n) ctx.spawn(2 * t + 2, 0);
         break;
       case Workload::kChain:
-        if (token + 1 < n) emit(token + 1);
+        if (t + 1 < n) ctx.spawn(t + 1, 0);
         break;
       case Workload::kRandom: {
-        const std::uint64_t fanout = hash2(c.seed, token) % 4;
+        const std::uint64_t fanout = hash2(c.seed, t) % 4;
         for (std::uint64_t j = 0; j < fanout && emitted < emit_cap; ++j) {
-          const std::uint64_t child =
-              token + 1 + hash2(c.seed ^ token, j) % 7;
+          const std::uint64_t child = t + 1 + hash2(c.seed ^ t, j) % 7;
           if (child < n) {
-            emit(child);
+            ctx.spawn(child, 0);
             ++emitted;
           }
         }
         break;
       }
       case Workload::kTasks:
-        break;  // runs through the task framework below, not this TaskFn
+        if (t >= n) break;  // shadow task: leaf
+        if (hash2(c.seed ^ 0x7a5c5, t) % 8 == 0 && respawned[t] == 0) {
+          respawned[t] = 1;
+          ctx.respawn();
+          break;
+        }
+        if (2 * t + 1 < n) ctx.spawn(2 * t + 1, band_for(2 * t + 1));
+        if (2 * t + 2 < n) ctx.spawn(2 * t + 2, band_for(2 * t + 2));
+        if (t % 2 == 1) {
+          // Deferred shadow, released by a same-task credit: exercises
+          // the defer table and the release path without cross-task
+          // handle-visibility ordering concerns.
+          ctx.credit(ctx.defer(t + n, band_for(t + n), 1));
+        }
+        break;
     }
   };
 
-  std::vector<std::uint64_t> seeds;
+  std::vector<tasks::TaskSeed> seeds;
   if (c.workload == Workload::kRandom) {
-    for (std::uint64_t s = 0; s < 4 && s < n; ++s) seeds.push_back(s);
+    for (std::uint64_t s = 0; s < 4 && s < n; ++s) seeds.push_back({s, 0});
   } else {
-    seeds.push_back(0);
+    seeds.push_back({0, 0});
   }
 
   FuzzOutcome out;
-  if (c.workload == Workload::kTasks) {
-    // Dynamic task framework under schedule fuzz: a binary spawn tree
-    // where every ticket past the seed is created from a delivery,
-    // with seed-chosen single respawns (duplicate payloads through new
-    // tickets) and defer/credit self-releases (shadow tasks with ids
-    // >= n) — so the exactly-once checker sees dynamically created
-    // tickets of every framework flavor.
-    const std::uint64_t bands = mq_bands;
-    const auto band_for = [bands, n](std::uint64_t id) {
-      return bands <= 1 ? 0
-                        : std::min<std::uint64_t>(id * bands / n, bands - 1);
-    };
-    std::vector<char> respawned(n, 0);
-    const tasks::HostTask ttask = [&](tasks::TaskContext& ctx) {
-      const std::uint64_t t = ctx.payload();
-      if (t >= n) return;  // shadow task: leaf
-      if (hash2(c.seed ^ 0x7a5c5, t) % 8 == 0 && respawned[t] == 0) {
-        respawned[t] = 1;
-        ctx.respawn();
-        return;
-      }
-      if (2 * t + 1 < n) ctx.spawn(2 * t + 1, band_for(2 * t + 1));
-      if (2 * t + 2 < n) ctx.spawn(2 * t + 2, band_for(2 * t + 2));
-      if (t % 2 == 1) {
-        // Deferred shadow, released by a same-task credit: exercises
-        // the defer table and the release path without cross-task
-        // handle-visibility ordering concerns.
-        ctx.credit(ctx.defer(t + n, band_for(t + n), 1));
-      }
-    };
-    tasks::HostTaskOptions hopt;
-    hopt.num_workgroups = c.num_workgroups;
-    const std::vector<tasks::TaskSeed> tseeds = {{0, 0}};
-    try {
-      out.run = tasks::run_host_tasks(dev, *queue, tseeds, ttask, hopt);
-      if (out.run.aborted) out.error = "aborted: " + out.run.abort_reason;
-    } catch (const simt::SimError& e) {
-      out.error = std::string("SimError: ") + e.what();
-    }
-  } else {
-    PtDriverOptions opt;
-    opt.num_workgroups = c.num_workgroups;
-    try {
-      out.run = run_persistent_tasks(dev, *queue, seeds, task, opt);
-      if (out.run.aborted) out.error = "aborted: " + out.run.abort_reason;
-    } catch (const simt::SimError& e) {
-      out.error = std::string("SimError: ") + e.what();
-    }
+  tasks::HostTaskOptions hopt;
+  hopt.num_workgroups = c.num_workgroups;
+  try {
+    out.run = tasks::run_host_tasks(dev, *queue, seeds, task, hopt);
+    if (out.run.aborted) out.error = "aborted: " + out.run.abort_reason;
+  } catch (const simt::SimError& e) {
+    out.error = std::string("SimError: ") + e.what();
   }
 
   CheckOptions check_opt;

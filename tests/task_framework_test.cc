@@ -1,19 +1,19 @@
-// Dynamic task framework (src/tasks) unit tests: the soundness guards
-// (spawn depth, dependency-counter underflow, unreleased dependencies,
-// band monotonicity), the overflow stash, phase-close accounting on the
-// banded multi-queue, and the pin that the task-engine re-expression of
-// pt_bfs is bit-exact with the legacy inline kernel.
+// Dynamic task framework (src/tasks) unit tests: the engine's
+// arrival-finished lanes, the soundness guards (spawn depth,
+// dependency-counter underflow, unreleased dependencies, band
+// monotonicity), the overflow stash, and phase-close accounting on the
+// banded multi-queue. The front-ends' schedules are pinned by
+// driver_golden_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "bfs/datasets.h"
-#include "bfs/pt_bfs.h"
-#include "graph/bfs_ref.h"
-#include "graph/generators.h"
+#include "core/bucketed_queue.h"
+#include "core/counters.h"
 #include "tasks/task_engine.h"
 
 namespace scq::tasks {
@@ -44,6 +44,114 @@ TEST(TaskToken, BandZeroTokensAreBarePayloads) {
 TEST(TaskToken, ChecksFieldOverflow) {
   EXPECT_THROW((void)pack_task_checked(kMaxPayload + 1, 0), simt::SimError);
   EXPECT_THROW((void)pack_task_checked(0, kMaxBand + 1), simt::SimError);
+}
+
+// ---- Kernel-side engine ----
+
+// RF/AN ring that records every ticket the engine reports complete. The
+// ring protocol runs in the wrapped queue; arrival checks run on this
+// object over the same layout (its residency counter is unused here).
+class RecordingQueue final : public DeviceQueue {
+ public:
+  RecordingQueue(simt::Device& dev, std::uint64_t capacity)
+      : DeviceQueue(make_device_queue(dev, capacity)), ring_(layout()) {}
+
+  [[nodiscard]] QueueVariant variant() const override {
+    return QueueVariant::kRfan;
+  }
+  Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override {
+    co_await ring_.acquire_slots(w, st);
+  }
+  Kernel<void> publish(Wave& w, WaveQueueState& st) override {
+    co_await ring_.publish(w, st);
+  }
+  Kernel<void> report_complete(Wave& w, std::uint32_t count) override {
+    co_await ring_.report_complete(w, count);
+  }
+  Kernel<void> report_complete_tickets(
+      Wave& w, std::span<const std::uint64_t> tickets) override {
+    for (const std::uint64_t t : tickets) ++reported[t];
+    co_await report_complete(w, static_cast<std::uint32_t>(tickets.size()));
+  }
+
+  std::map<std::uint64_t, int> reported;  // ticket -> completion reports
+
+ private:
+  RfanQueue ring_;
+};
+
+// Token t finishes at arrival when t % 3 == 0. Otherwise seeds (t < n)
+// take two work steps and push one child t + n + 1 in the first; every
+// other token finishes in one work step.
+class ArrivalFinishClient final : public TaskWaveClient {
+ public:
+  explicit ArrivalFinishClient(std::uint64_t n) : n_(n) {}
+
+  Kernel<LaneMask> on_arrival(Wave&, WaveQueueState& st, LaneMask arrived,
+                              std::span<const std::uint64_t> tokens) override {
+    LaneMask done = 0;
+    for_lanes(arrived, [&](unsigned lane) {
+      token_[lane] = tokens[lane];
+      ticket_[lane] = st.deliver_ticket[lane];
+      steps_[lane] = 0;
+      if (tokens[lane] % 3 == 0) done |= bit(lane);
+    });
+    co_return done;
+  }
+
+  Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
+                             LaneMask run) override {
+    LaneMask done = 0;
+    for_lanes(run, [&](unsigned lane) {
+      const bool seed = token_[lane] < n_;
+      if (seed && steps_[lane] == 0) {
+        st.push_token(lane, token_[lane] + n_ + 1, ticket_[lane]);
+      }
+      if (++steps_[lane] == (seed ? 2 : 1)) done |= bit(lane);
+    });
+    co_await w.compute(4);
+    co_return done;
+  }
+
+ private:
+  std::uint64_t n_;
+  std::array<std::uint64_t, kWaveWidth> token_{};
+  std::array<std::uint64_t, kWaveWidth> ticket_{};
+  std::array<unsigned, kWaveWidth> steps_{};
+};
+
+TEST(TaskEngine, ArrivalFinishedLanesReportEachTicketOnce) {
+  constexpr std::uint64_t kSeeds = 96;
+  simt::Device dev(small_device());
+  RecordingQueue queue(dev, 256);
+  std::vector<std::uint64_t> seeds(kSeeds);
+  for (std::uint64_t t = 0; t < kSeeds; ++t) seeds[t] = t;
+  queue.seed(dev, seeds);
+
+  const simt::RunResult run = run_task_waves(dev, queue, [&](Wave&) {
+    return std::make_unique<ArrivalFinishClient>(kSeeds);
+  });
+  ASSERT_FALSE(run.aborted) << run.abort_reason;
+
+  // Every token ever enqueued: the seeds plus one child per seed that
+  // reached a work step.
+  std::uint64_t tokens = kSeeds, work_step_finishers = 0;
+  for (std::uint64_t t = 0; t < kSeeds; ++t) {
+    if (t % 3 == 0) continue;
+    ++work_step_finishers;  // the seed itself
+    ++tokens;               // its child
+    if ((t + kSeeds + 1) % 3 != 0) ++work_step_finishers;
+  }
+  const std::uint64_t rear = dev.read_word(queue.layout().rear_addr());
+  EXPECT_EQ(rear, tokens);
+  EXPECT_EQ(dev.read_word(queue.layout().completed_addr()), rear);
+  ASSERT_EQ(queue.reported.size(), tokens);
+  for (const auto& [ticket, count] : queue.reported) {
+    EXPECT_LT(ticket, rear);
+    EXPECT_EQ(count, 1) << "ticket " << ticket;
+  }
+  // Arrival finishers completed without ever running a work step.
+  EXPECT_EQ(run.stats.user[kTasksProcessed], work_step_finishers);
 }
 
 // ---- Host-task engine ----
@@ -233,6 +341,19 @@ TEST(TaskFramework, SpawnIntoLowerBandThrowsOnBandedQueues) {
       simt::SimError);
 }
 
+TEST(TaskFramework, OutOfRangeBandCountThrows) {
+  const std::vector<TaskSeed> seeds = {{0, 0}};
+  for (const std::uint32_t bands : {0u, BucketedMultiQueue::kMaxBands + 1}) {
+    TaskGraphOptions opt;
+    opt.variant = QueueVariant::kMq;
+    opt.num_bands = bands;
+    EXPECT_THROW(
+        run_task_graph(small_device(), seeds, [](TaskContext&) {}, opt),
+        simt::SimError)
+        << bands << " bands";
+  }
+}
+
 TEST(TaskFramework, LowerBandSpawnAllowedOnSingleBandQueues) {
   // FIFO rings have no closure to protect: band bits are inert metadata.
   TaskGraphOptions opt;
@@ -250,42 +371,6 @@ TEST(TaskFramework, LowerBandSpawnAllowedOnSingleBandQueues) {
   EXPECT_FALSE(r.run.aborted);
   EXPECT_EQ(executed, 2u);
 }
-
-// ---- pt_bfs on the engine: bit-exact with the legacy kernel ----
-
-class PtBfsEngineBitExact
-    : public ::testing::TestWithParam<std::tuple<QueueVariant, bool>> {};
-
-TEST_P(PtBfsEngineBitExact, MatchesLegacyKernelCycleForCycle) {
-  const auto [variant, atomic] = GetParam();
-  graph::RmatParams p;
-  p.n_vertices = 1024;
-  p.n_edges = 8192;
-  const graph::Graph g = graph::rmat(p);
-
-  bfs::PtBfsOptions legacy;
-  legacy.variant = variant;
-  legacy.atomic_discovery = atomic;
-  legacy.use_task_engine = false;
-  bfs::PtBfsOptions engine = legacy;
-  engine.use_task_engine = true;
-
-  const bfs::BfsResult a = bfs::run_pt_bfs(small_device(), g, 0, legacy);
-  const bfs::BfsResult b = bfs::run_pt_bfs(small_device(), g, 0, engine);
-  ASSERT_FALSE(a.run.aborted);
-  ASSERT_FALSE(b.run.aborted);
-  // The engine re-expression must not perturb the event schedule at
-  // all: same cycle count, same attempt count, same levels.
-  EXPECT_EQ(a.run.cycles, b.run.cycles);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.levels, b.levels);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Variants, PtBfsEngineBitExact,
-    ::testing::Combine(::testing::Values(QueueVariant::kBase, QueueVariant::kAn,
-                                         QueueVariant::kRfan),
-                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace scq::tasks
