@@ -17,7 +17,6 @@
 #include "sim/critical_path.h"
 #include "sim/task_trace.h"
 #include "sim/telemetry.h"
-#include "sim/flight_recorder.h"
 #include "sim/trace.h"
 #include "sim/sim_profiler.h"
 #include "util/args.h"
@@ -245,15 +244,6 @@ class Observability {
     }
     if constexpr (requires { opt.profiler; }) {
       if (reporting()) opt.profiler = &profiler_;
-    }
-    // Flight recording is always on inside the drivers; pointing them
-    // at the harness sink keeps the recent-event ring alive across the
-    // run for the dashboard's post-mortem section.
-    if constexpr (requires { opt.recorder; }) {
-      opt.recorder = &recorder_;
-    }
-    if constexpr (requires { opt.flight_recorder; }) {
-      opt.flight_recorder = &recorder_;
     }
   }
 
@@ -609,7 +599,6 @@ class Observability {
   simt::TraceRecorder trace_;
   simt::TaskTrace task_trace_;
   simt::SimProfiler profiler_;
-  simt::FlightRecorder recorder_;
   std::string black_box_;
   std::string bench_name_;
   std::string telemetry_path_;

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/token.h"
 #include "core/counters.h"
 #include "core/task_probes.h"
-#include "core/telemetry_probes.h"
 #include "graph/sssp_ref.h"
+#include "tasks/task_engine.h"
 
 namespace scq::bfs {
 
@@ -21,261 +24,239 @@ using simt::LaneMask;
 using simt::Wave;
 using simt::kWaveWidth;
 
-// Per-lane vertex-processing registers (the cluster twin of pt_bfs's
-// LaneWork: `cost` is the enumeration base, whatever kind the token was).
-struct LaneWork {
-  std::array<std::uint64_t, kWaveWidth> vertex{};
-  std::array<std::uint64_t, kWaveWidth> cursor{};
-  std::array<std::uint64_t, kWaveWidth> row_end{};
-  std::array<std::uint64_t, kWaveWidth> cost{};
-  std::array<std::uint64_t, kWaveWidth> ticket = filled_lanes(kNoTask);
-};
-
-// Everything one device's waves need, owned by the host front-end for
+// Everything one device's waves share, owned by the host front-end for
 // the duration of the cluster run.
 struct DeviceCtx {
-  DeviceQueue* queue = nullptr;
   const cluster::TransferRing* rings[64] = {};  // rings[dst], self null
   DeviceGraph g;
   simt::Buffer owner;  // V words, owner[v] = owning device (n > 1 only)
-  simt::Addr stop = 0;
   std::uint32_t dev_index = 0;
   std::uint32_t num_devices = 1;
   bool weighted = false;
   unsigned work_budget = 4;
-  simt::Cycle poll_interval = 240;
 };
 
-Kernel<void> cluster_wave(Wave& w, const DeviceCtx& ctx) {
-  DeviceQueue& queue = *ctx.queue;
-  const DeviceGraph& g = ctx.g;
-  // Per-destination staging for remote children (lives in the coroutine
-  // frame; one slot per device, the self slot unused).
-  std::vector<cluster::XferWaveState> xfer(ctx.num_devices);
-  WaveQueueState st{};
-  std::array<std::uint64_t, kWaveWidth> tokens{};
-  LaneWork lw{};
-  LaneMask working = 0;
+// The cluster kernel as a task-engine client. Tokens are cluster-packed
+// (kind | cost | vertex); the prolog resolves each kind against this
+// device's authoritative cost words, and the work step relaxes owned
+// children in place and stages the rest for their owners' transfer
+// rings — the client's side channels. The run ends on the cluster's
+// host-written stop word: a device cannot see remote work, so
+// Completed == Rear on its own ring proves nothing.
+class ClusterClient final : public tasks::TaskWaveClient {
+ public:
+  ClusterClient(const DeviceCtx& ctx, simt::Addr stop)
+      : ctx_(ctx), stop_(stop), xfer_(ctx.num_devices) {}
 
-  for (;;) {  // one iteration per work cycle, as in pt_bfs
-    w.bump(kWorkCycles);
-    // Host-driven termination: only the cluster loop can see global
-    // quiescence, so the all_done predicate is replaced by a stop word.
-    if (co_await w.load(ctx.stop) != 0) break;
-
-    bool progress = false;
-
-    st.hungry = ~(working | st.assigned | st.ready);
-    if (st.hungry) co_await queue.acquire_slots(w, st);
-
-    if (simt::Telemetry* probes = probe_sink(w)) {
-      probes->set_shard(tel::kHungryLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.hungry)));
-      probes->set_shard(tel::kAssignedLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.assigned)));
-    }
-
-    std::uint32_t finished = 0;
-    if (st.assigned || st.ready) {
-      const LaneMask arrived = co_await queue.check_arrival(w, st, tokens);
-      if (arrived) {
-        progress = true;
-
-        // Decode: split the batch by token kind (cluster/token.h).
-        std::array<std::uint64_t, kWaveWidth> tok_cost{};
-        LaneMask local = 0, cand = 0, upd = 0, stolen = 0;
-        for_lanes(arrived, [&](unsigned lane) {
-          const std::uint64_t t = tokens[lane];
-          lw.vertex[lane] = cluster::token_vertex(t);
-          tok_cost[lane] = cluster::token_cost(t);
-          switch (cluster::token_kind(t)) {
-            case cluster::TokenKind::kLocal: local |= bit(lane); break;
-            case cluster::TokenKind::kCandidate: cand |= bit(lane); break;
-            case cluster::TokenKind::kUpdate: upd |= bit(lane); break;
-            case cluster::TokenKind::kStolen: stolen |= bit(lane); break;
-          }
-        });
-
-        std::array<Addr, kWaveWidth> a{};
-        std::array<std::uint64_t, kWaveWidth> vcost{}, oldc{};
-        // kLocal reloads the authoritative label and enumerates from it,
-        // exactly as pt_bfs/pt_sssp do.
-        if (local) {
-          for_lanes(local, [&](unsigned lane) {
-            a[lane] = g.cost.at(lw.vertex[lane]);
-          });
-          co_await w.load_lanes(local, a, vcost);
-        }
-        // kCandidate / kUpdate resolve against the owner's word here;
-        // this device owns these vertices by construction.
-        const LaneMask resolve = cand | upd;
-        if (resolve) {
-          for_lanes(resolve, [&](unsigned lane) {
-            a[lane] = g.cost.at(lw.vertex[lane]);
-          });
-          co_await w.atomic_lanes(simt::AtomicKind::kMin, resolve, a, tok_cost,
-                                  {}, oldc);
-        }
-
-        // Who enumerates: kLocal and kStolen always; kCandidate only if
-        // its cost improved the authoritative word; kUpdate never (the
-        // thief holds the matching kStolen).
-        LaneMask enumerate = local | stolen;
-        for_lanes(cand, [&](unsigned lane) {
-          if (oldc[lane] > tok_cost[lane]) enumerate |= bit(lane);
-        });
-        for_lanes(local, [&](unsigned lane) { lw.cost[lane] = vcost[lane]; });
-        for_lanes(stolen | cand,
-                  [&](unsigned lane) { lw.cost[lane] = tok_cost[lane]; });
-
-        if (enumerate) {
-          std::array<std::uint64_t, kWaveWidth> row_begin{}, row_end{};
-          for_lanes(enumerate, [&](unsigned lane) {
-            a[lane] = g.row_offsets.at(lw.vertex[lane]);
-          });
-          co_await w.load_lanes(enumerate, a, row_begin);
-          for_lanes(enumerate, [&](unsigned lane) { a[lane] += 1; });
-          co_await w.load_lanes(enumerate, a, row_end);
-          for_lanes(enumerate, [&](unsigned lane) {
-            lw.cursor[lane] = row_begin[lane];
-            lw.row_end[lane] = row_end[lane];
-          });
-        }
-
-        const LaneMask immediate = arrived & ~enumerate;
-        const bool tasks_traced = task_sink(w) != nullptr;
-        for_lanes(arrived, [&](unsigned lane) {
-          lw.ticket[lane] = st.deliver_ticket[lane];
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecStart, lw.ticket[lane],
-                       lw.vertex[lane]);
-            if (immediate & bit(lane)) {
-              trace_task(w, simt::TaskPhase::kExecEnd, lw.ticket[lane]);
-            }
-          }
-        });
-        working |= enumerate;
-        finished += static_cast<std::uint32_t>(std::popcount(immediate));
-        w.bump(kTasksProcessed,
-               static_cast<std::uint64_t>(std::popcount(immediate)));
-      }
-    }
-
-    // Work phase. Full freeze while anything is parked — on the main
-    // ring or any transfer ring: each of the 1+N parked buffers can
-    // absorb a whole wave's worst-case batch, so stopping production
-    // entirely (rather than pt_bfs's proportional gate) keeps every
-    // buffer bounded without cross-ring accounting.
-    st.clear_produce();
-    bool frozen = st.has_parked();
-    for (std::uint32_t d = 0; d < ctx.num_devices && !frozen; ++d) {
-      if (d != ctx.dev_index && xfer[d].has_parked()) frozen = true;
-    }
-    const LaneMask run = frozen ? LaneMask{0} : working;
-    if (run) {
-      progress = true;
-      for (unsigned t = 0; t < ctx.work_budget; ++t) {
-        LaneMask active = 0;
-        for_lanes(run, [&](unsigned lane) {
-          if (lw.cursor[lane] < lw.row_end[lane]) active |= bit(lane);
-        });
-        if (!active) break;
-
-        std::array<Addr, kWaveWidth> ea{};
-        std::array<std::uint64_t, kWaveWidth> child{}, edge_w{};
-        for_lanes(active, [&](unsigned lane) {
-          ea[lane] = g.cols.at(lw.cursor[lane]);
-        });
-        co_await w.load_lanes(active, ea, child);
-        if (ctx.weighted && g.has_weights) {
-          for_lanes(active, [&](unsigned lane) {
-            ea[lane] = g.weights.at(lw.cursor[lane]);
-          });
-          co_await w.load_lanes(active, ea, edge_w);
-        } else {
-          for_lanes(active, [&](unsigned lane) { edge_w[lane] = 1; });
-        }
-        for_lanes(active, [&](unsigned lane) { lw.cursor[lane] += 1; });
-        w.bump(kEdgesRelaxed, static_cast<std::uint64_t>(std::popcount(active)));
-
-        std::array<std::uint64_t, kWaveWidth> newcost{};
-        for_lanes(active, [&](unsigned lane) {
-          newcost[lane] = lw.cost[lane] + edge_w[lane];
-        });
-
-        // Ownership split: relax own children in place; ship the rest
-        // to their owners as candidates.
-        LaneMask local_child = active;
-        std::array<std::uint64_t, kWaveWidth> own{};
-        if (ctx.num_devices > 1) {
-          std::array<Addr, kWaveWidth> oa{};
-          for_lanes(active, [&](unsigned lane) {
-            oa[lane] = ctx.owner.at(child[lane]);
-          });
-          co_await w.load_lanes(active, oa, own);
-          local_child = 0;
-          for_lanes(active, [&](unsigned lane) {
-            if (own[lane] == ctx.dev_index) local_child |= bit(lane);
-          });
-        }
-
-        if (local_child) {
-          std::array<Addr, kWaveWidth> ca{};
-          std::array<std::uint64_t, kWaveWidth> oldcost{};
-          for_lanes(local_child, [&](unsigned lane) {
-            ca[lane] = g.cost.at(child[lane]);
-          });
-          co_await w.atomic_lanes(simt::AtomicKind::kMin, local_child, ca,
-                                  newcost, {}, oldcost);
-          for_lanes(local_child, [&](unsigned lane) {
-            if (oldcost[lane] > newcost[lane]) {
-              st.push_token(lane,
-                            cluster::pack_token_checked(
-                                cluster::TokenKind::kLocal, newcost[lane],
-                                child[lane]),
-                            lw.ticket[lane]);
-              if (oldcost[lane] != kUnvisited) w.bump(kDupEnqueues);
-            }
-          });
-        }
-        for_lanes(active & ~local_child, [&](unsigned lane) {
-          // No local gate: the owner's atomic-min decides. Duplicate or
-          // stale candidates die there.
-          xfer[own[lane]].push(
-              lane, cluster::pack_token_checked(cluster::TokenKind::kCandidate,
-                                                newcost[lane], child[lane]));
-        });
-      }
-
-      LaneMask done_lanes = 0;
-      const bool tasks_traced = task_sink(w) != nullptr;
-      for_lanes(run, [&](unsigned lane) {
-        if (lw.cursor[lane] >= lw.row_end[lane]) {
-          done_lanes |= bit(lane);
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecEnd, lw.ticket[lane]);
-          }
-        }
-      });
-      const auto n_done = static_cast<std::uint32_t>(std::popcount(done_lanes));
-      finished += n_done;
-      working &= ~done_lanes;
-      w.bump(kTasksProcessed, n_done);
-    }
-
-    // Publish order carries the termination proof: remote children are
-    // reserved in their transfer rings, then local children in the main
-    // ring, and only then do their parents report complete — in-flight
-    // work always holds a Rear above a Completed/Front somewhere.
-    for (std::uint32_t d = 0; d < ctx.num_devices; ++d) {
-      if (d != ctx.dev_index) co_await ctx.rings[d]->publish(w, xfer[d]);
-    }
-    if (st.total_new() != 0 || st.has_parked()) co_await queue.publish(w, st);
-    if (finished) co_await queue.report_complete(w, finished);
-
-    if (!progress) co_await w.idle(ctx.poll_interval);
+  [[nodiscard]] std::optional<simt::Addr> stop_word() const override {
+    return stop_;
   }
-}
+
+  Kernel<LaneMask> on_arrival(Wave& w, WaveQueueState& st, LaneMask arrived,
+                              std::span<const std::uint64_t> tokens) override {
+    const DeviceGraph& g = ctx_.g;
+    // Decode: split the batch by token kind (cluster/token.h).
+    LaneMask local = 0, cand = 0, upd = 0, stolen = 0;
+    for_lanes(arrived, [&](unsigned lane) {
+      const std::uint64_t t = tokens[lane];
+      vertex_[lane] = cluster::token_vertex(t);
+      tok_cost_[lane] = cluster::token_cost(t);
+      switch (cluster::token_kind(t)) {
+        case cluster::TokenKind::kLocal: local |= bit(lane); break;
+        case cluster::TokenKind::kCandidate: cand |= bit(lane); break;
+        case cluster::TokenKind::kUpdate: upd |= bit(lane); break;
+        case cluster::TokenKind::kStolen: stolen |= bit(lane); break;
+      }
+    });
+
+    addr_.fill(0);
+    // kLocal reloads the authoritative label and enumerates from it,
+    // exactly as the single-device relax client does.
+    if (local) {
+      for_lanes(local, [&](unsigned lane) {
+        addr_[lane] = g.cost.at(vertex_[lane]);
+      });
+      co_await w.load_lanes(local, addr_, cost_);
+    }
+    // kCandidate / kUpdate resolve against the owner's word here;
+    // this device owns these vertices by construction.
+    const LaneMask resolve = cand | upd;
+    if (resolve) {
+      for_lanes(resolve, [&](unsigned lane) {
+        addr_[lane] = g.cost.at(vertex_[lane]);
+      });
+      co_await w.atomic_lanes(simt::AtomicKind::kMin, resolve, addr_,
+                              tok_cost_, {}, old_);
+    }
+
+    // Who enumerates: kLocal and kStolen always; kCandidate only if
+    // its cost improved the authoritative word; kUpdate never (the
+    // thief holds the matching kStolen).
+    LaneMask enumerate = local | stolen;
+    for_lanes(cand, [&](unsigned lane) {
+      if (old_[lane] > tok_cost_[lane]) enumerate |= bit(lane);
+    });
+    for_lanes(stolen | cand,
+              [&](unsigned lane) { cost_[lane] = tok_cost_[lane]; });
+
+    if (enumerate) {
+      for_lanes(enumerate, [&](unsigned lane) {
+        addr_[lane] = g.row_offsets.at(vertex_[lane]);
+      });
+      co_await w.load_lanes(enumerate, addr_, cursor_);
+      for_lanes(enumerate, [&](unsigned lane) { addr_[lane] += 1; });
+      co_await w.load_lanes(enumerate, addr_, row_end_);
+    }
+
+    // The rest finish here, and count as processed like work-step
+    // finishers.
+    const LaneMask immediate = arrived & ~enumerate;
+    const bool tasks_traced = task_sink(w) != nullptr;
+    for_lanes(arrived, [&](unsigned lane) {
+      ticket_[lane] = st.deliver_ticket[lane];
+      if (tasks_traced) {
+        trace_task(w, simt::TaskPhase::kExecStart, ticket_[lane],
+                   vertex_[lane]);
+        if (immediate & bit(lane)) {
+          trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
+        }
+      }
+    });
+    w.bump(kTasksProcessed,
+           static_cast<std::uint64_t>(std::popcount(immediate)));
+    co_return immediate;
+  }
+
+  Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
+                             LaneMask run) override {
+    const DeviceGraph& g = ctx_.g;
+    for (unsigned t = 0; t < ctx_.work_budget; ++t) {
+      LaneMask active = 0;
+      for_lanes(run, [&](unsigned lane) {
+        if (cursor_[lane] < row_end_[lane]) active |= bit(lane);
+      });
+      if (!active) break;
+
+      addr_.fill(0);
+      for_lanes(active, [&](unsigned lane) {
+        addr_[lane] = g.cols.at(cursor_[lane]);
+      });
+      co_await w.load_lanes(active, addr_, child_);
+      if (ctx_.weighted && g.has_weights) {
+        for_lanes(active, [&](unsigned lane) {
+          addr_[lane] = g.weights.at(cursor_[lane]);
+        });
+        co_await w.load_lanes(active, addr_, edge_w_);
+      } else {
+        for_lanes(active, [&](unsigned lane) { edge_w_[lane] = 1; });
+      }
+      for_lanes(active, [&](unsigned lane) { cursor_[lane] += 1; });
+      w.bump(kEdgesRelaxed, static_cast<std::uint64_t>(std::popcount(active)));
+
+      for_lanes(active, [&](unsigned lane) {
+        newcost_[lane] = cost_[lane] + edge_w_[lane];
+      });
+
+      // Ownership split: relax own children in place; ship the rest
+      // to their owners as candidates.
+      LaneMask local_child = active;
+      if (ctx_.num_devices > 1) {
+        addr_.fill(0);
+        for_lanes(active, [&](unsigned lane) {
+          addr_[lane] = ctx_.owner.at(child_[lane]);
+        });
+        co_await w.load_lanes(active, addr_, own_);
+        local_child = 0;
+        for_lanes(active, [&](unsigned lane) {
+          if (own_[lane] == ctx_.dev_index) local_child |= bit(lane);
+        });
+      }
+
+      if (local_child) {
+        for_lanes(local_child, [&](unsigned lane) {
+          addr_[lane] = g.cost.at(child_[lane]);
+        });
+        co_await w.atomic_lanes(simt::AtomicKind::kMin, local_child, addr_,
+                                newcost_, {}, old_);
+        for_lanes(local_child, [&](unsigned lane) {
+          if (old_[lane] > newcost_[lane]) {
+            st.push_token(lane,
+                          cluster::pack_token_checked(
+                              cluster::TokenKind::kLocal, newcost_[lane],
+                              child_[lane]),
+                          ticket_[lane]);
+            if (old_[lane] != kUnvisited) w.bump(kDupEnqueues);
+          }
+        });
+      }
+      for_lanes(active & ~local_child, [&](unsigned lane) {
+        // No local gate: the owner's atomic-min decides. Duplicate or
+        // stale candidates die there.
+        xfer_[own_[lane]].push(
+            lane, cluster::pack_token_checked(cluster::TokenKind::kCandidate,
+                                              newcost_[lane], child_[lane]));
+        staged_ = true;
+      });
+    }
+
+    LaneMask done = 0;
+    const bool tasks_traced = task_sink(w) != nullptr;
+    for_lanes(run, [&](unsigned lane) {
+      if (cursor_[lane] < row_end_[lane]) return;
+      done |= bit(lane);
+      if (tasks_traced) trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
+    });
+    co_return done;
+  }
+
+  [[nodiscard]] bool side_pending() const override {
+    return staged_ || side_parked();
+  }
+
+  [[nodiscard]] bool side_parked() const override {
+    return std::any_of(xfer_.begin(), xfer_.end(),
+                       [](const cluster::XferWaveState& x) {
+                         return x.has_parked();
+                       });
+  }
+
+  // Remote children are reserved in their owners' transfer rings (the
+  // self entry never holds a token).
+  Kernel<void> publish_side(Wave& w) override {
+    staged_ = false;
+    for (std::uint32_t d = 0; d < ctx_.num_devices; ++d) {
+      if (xfer_[d].total_new() != 0 || xfer_[d].has_parked()) {
+        co_await ctx_.rings[d]->publish(w, xfer_[d]);
+      }
+    }
+  }
+
+ private:
+  const DeviceCtx& ctx_;
+  simt::Addr stop_;
+  // Per-destination staging for remote children, one per device.
+  std::vector<cluster::XferWaveState> xfer_;
+  bool staged_ = false;  // xfer_ gained tokens since the last publish
+  std::array<std::uint64_t, kWaveWidth> vertex_{};
+  std::array<std::uint64_t, kWaveWidth> cursor_{};   // next edge index
+  std::array<std::uint64_t, kWaveWidth> row_end_{};  // one past last edge
+  // Enumeration base: the reloaded label for kLocal, the token's cost
+  // for kCandidate and kStolen.
+  std::array<std::uint64_t, kWaveWidth> cost_{};
+  // Trace identity of each lane's task (kNoTask if untraceable).
+  std::array<std::uint64_t, kWaveWidth> ticket_ = filled_lanes(kNoTask);
+  // Per-step temporaries, kept here so the prolog and work-step frames
+  // stay in the frame pool. The address array is zeroed before each
+  // batch of loads: a vector load's schedule jitter salts on lane 0's
+  // address, inactive or not.
+  std::array<Addr, kWaveWidth> addr_{};
+  std::array<std::uint64_t, kWaveWidth> tok_cost_{};
+  std::array<std::uint64_t, kWaveWidth> old_{};
+  std::array<std::uint64_t, kWaveWidth> child_{};
+  std::array<std::uint64_t, kWaveWidth> edge_w_{};
+  std::array<std::uint64_t, kWaveWidth> newcost_{};
+  std::array<std::uint64_t, kWaveWidth> own_{};
+};
 
 struct CommonResult {
   std::vector<std::uint64_t> cost;  // authoritative word per vertex
@@ -296,10 +277,6 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
   if (g.num_vertices() > cluster::kMaxPackVertex + 1) {
     throw simt::SimError(
         "run_cluster: graph exceeds the 24-bit cluster vertex field");
-  }
-  if (options.work_budget == 0 || options.work_budget > kMaxWorkBudget) {
-    throw simt::SimError(
-        "run_cluster: work_budget must be in [1, kMaxWorkBudget]");
   }
   if (options.num_devices == 0 || options.num_devices > kWaveWidth) {
     throw simt::SimError("run_cluster: num_devices must be in [1, 64]");
@@ -331,7 +308,6 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
     copt.xfer_capacity = xcap;
     copt.telemetry = options.telemetry;
     copt.task_trace = options.task_trace;
-    copt.flight_recorder = options.flight_recorder;
 
     // The sink trace is cleared per attempt (as in run_pt_bfs) so it
     // holds exactly the merged per-device run that produced the result.
@@ -346,7 +322,6 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
     std::vector<DeviceCtx> ctx(n);
     for (std::uint32_t d = 0; d < n; ++d) {
       simt::Device& dev = cl.device(d);
-      ctx[d].queue = &cl.queue(d);
       ctx[d].g = upload_graph(dev, g);
       if (n > 1) {
         ctx[d].owner = dev.alloc(std::max<std::uint64_t>(g.num_vertices(), 1));
@@ -356,12 +331,10 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
         }
         dev.write(ctx[d].owner, owner_words);
       }
-      ctx[d].stop = cl.stop_flag(d);
       ctx[d].dev_index = d;
       ctx[d].num_devices = n;
       ctx[d].weighted = weighted;
       ctx[d].work_budget = options.work_budget;
-      ctx[d].poll_interval = options.poll_interval;
       for (std::uint32_t dst = 0; dst < n; ++dst) {
         if (dst != d) ctx[d].rings[dst] = &cl.ring(d, dst);
       }
@@ -377,12 +350,18 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
     const std::uint32_t workgroups = options.num_workgroups != 0
                                          ? options.num_workgroups
                                          : config.resident_waves();
-    cluster::ClusterRun crun =
-        cl.run([&ctx](std::uint32_t d) -> simt::KernelFactory {
-          return [ctxp = &ctx[d]](Wave& w) -> Kernel<void> {
-            return cluster_wave(w, *ctxp);
-          };
-        }, workgroups);
+    const tasks::TaskEngineOptions eng{.work_budget = options.work_budget,
+                                       .poll_interval = options.poll_interval};
+    cluster::ClusterRun crun = cl.run(
+        [&](std::uint32_t d) {
+          return tasks::task_wave_kernel(
+              cl.queue(d),
+              [ctxp = &ctx[d], stop = cl.stop_flag(d)](Wave&) {
+                return std::make_unique<ClusterClient>(*ctxp, stop);
+              },
+              eng);
+        },
+        workgroups);
 
     if (crun.aborted) last_black_box = crun.black_box;
     if (crun.aborted && attempt < 8) {

@@ -2,17 +2,18 @@
 //
 // The graph's adjacency (CSR) is replicated on every device; vertex
 // *ownership* is partitioned (graph/partition.h). Each device runs the
-// same work-cycle kernel as pt_bfs/pt_sssp against its own main queue,
-// with two cluster twists:
+// task engine's work cycle (tasks/task_engine.h) against its own main
+// queue, as run_pt_bfs/run_pt_sssp do, with a cluster client:
 //
 //   - Tokens are cluster-packed (cluster/token.h): kind | cost |
 //     vertex. Relaxations touch only the executing device's own
 //     (authoritative) cost entries; improvements of remotely owned
 //     vertices are emitted as kCandidate tokens into the per-pair
-//     transfer rings and resolved by the owner's atomic-min at dequeue.
-//   - Termination is host-driven: kernels poll a stop flag the cluster
-//     loop raises at global quiescence, instead of the single-queue
-//     all_done predicate (a device cannot see remote work).
+//     transfer rings (the client's side channels) and resolved by the
+//     owner's atomic-min at dequeue.
+//   - Termination is host-driven: the client names the stop word the
+//     cluster loop raises at global quiescence, in place of the
+//     single-queue all_done predicate (a device cannot see remote work).
 //
 // A 1-device cluster degenerates to the single-device algorithm (no
 // owner lookups, no transfers) and must produce levels identical to
@@ -47,9 +48,6 @@ struct ClusterBfsOptions {
   // num_devices > 1. The task trace is cleared per attempt.
   simt::Telemetry* telemetry = nullptr;
   simt::TaskTrace* task_trace = nullptr;
-  // Flight-recorder sink (not owned); per-device recorders always exist
-  // inside the cluster and merge here (dev<N> source labels) per run.
-  simt::FlightRecorder* flight_recorder = nullptr;
 };
 
 struct ClusterBfsResult {

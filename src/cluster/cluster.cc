@@ -28,6 +28,10 @@ Cluster::Cluster(const simt::DeviceConfig& config,
   if (options_.queue_capacity == 0 || options_.xfer_capacity == 0) {
     throw simt::SimError("Cluster: queue and transfer capacities must be > 0");
   }
+  if (options_.quantum == 0) {
+    // A zero horizon never advances: no event would ever run.
+    throw simt::SimError("Cluster: quantum must be > 0");
+  }
   if (options_.variant != QueueVariant::kBase &&
       options_.variant != QueueVariant::kAn &&
       options_.variant != QueueVariant::kRfan) {
@@ -298,8 +302,6 @@ ClusterRun Cluster::run(const DeviceKernelFactory& make_factory,
   }
   result.router = router.stats();
   if (result.aborted) {
-    // Assemble the black box before the recorder merge below clears the
-    // per-device rings.
     result.black_box = assemble_black_box(result.abort_reason, &router);
   }
 
@@ -313,12 +315,6 @@ ClusterRun Cluster::run(const DeviceKernelFactory& make_factory,
     for (std::uint32_t d = 0; d < n; ++d) {
       options_.task_trace->merge_from(*task_traces_[d]);
       task_traces_[d]->clear();
-    }
-  }
-  if (options_.flight_recorder != nullptr) {
-    for (std::uint32_t d = 0; d < n; ++d) {
-      options_.flight_recorder->merge_from(*recorders_[d]);
-      recorders_[d]->clear();
     }
   }
   return result;

@@ -10,14 +10,15 @@
 //     superstep quantum), then runs a barrier: the host router drains
 //     every inter-device transfer ring, optionally re-balances, and
 //     injects the tokens into the owning devices' main queues.
-//   - Kernels poll a host-writable stop flag instead of the queue's
-//     all_done predicate: only the host can see cluster-wide
-//     quiescence. The cluster is quiescent when every main queue has
-//     Completed == Rear, every transfer ring has Front == Rear, and the
-//     router holds nothing pending. Reservation-counting Rears make
-//     this sound: a task's remote children are reserved in a transfer
-//     ring before the task reports complete, so in-flight work always
-//     holds at least one of the three conditions open.
+//   - Kernels load a host-writable stop flag instead of the queue's
+//     all_done predicate (the task engine's stop-word seam): only the
+//     host can see cluster-wide quiescence. The cluster is quiescent
+//     when every main queue has Completed == Rear, every transfer ring
+//     has Front == Rear, and the router holds nothing pending.
+//     Reservation-counting Rears make this sound: a task's remote
+//     children are reserved in a transfer ring before the task reports
+//     complete, so in-flight work always holds at least one of the
+//     three conditions open.
 //   - Determinism: one host thread, fixed iteration orders (device
 //     index, source-major ring drains, FIFO pending), and the same
 //     seeded per-device simulators — same seeds + device count give
@@ -46,8 +47,8 @@ namespace scq::cluster {
 
 struct ClusterOptions {
   std::uint32_t num_devices = 1;
-  // Superstep quantum: how far every device advances between barriers.
-  // Smaller = lower transfer latency, more host barriers.
+  // Superstep quantum: how far every device advances between barriers
+  // (> 0). Smaller = lower transfer latency, more host barriers.
   simt::Cycle quantum = 2048;
   BalancePolicy balance = BalancePolicy::kOwnerOnly;
   // kSteal: a device is overloaded when its load exceeds trigger * mean.
@@ -56,14 +57,11 @@ struct ClusterOptions {
   std::uint64_t queue_capacity = 0;  // per-device main ring slots (> 0)
   std::uint64_t xfer_capacity = 0;   // per device-pair ring slots (> 0)
   // Optional sinks (not owned). Per-device instruments are created
-  // internally and merged into these when a run ends.
+  // internally and merged into these when a run ends. Per-device flight
+  // recorders always exist (abort-path black boxes need them) and stay
+  // inside the cluster.
   simt::Telemetry* telemetry = nullptr;
   simt::TaskTrace* task_trace = nullptr;
-  // Flight-recorder sink (not owned). Per-device recorders are created
-  // unconditionally — abort-path black boxes need them — and merge here
-  // (with "dev<N>" source labels when num_devices > 1) when a run ends,
-  // but only if a sink is attached.
-  simt::FlightRecorder* flight_recorder = nullptr;
 };
 
 struct ClusterRun {
@@ -101,7 +99,7 @@ class Cluster {
                                          std::uint32_t dst) const {
     return rings_[src][dst];
   }
-  // Kernels poll this word each work cycle; the host writes 1 at
+  // The stop word kernels load each work cycle; the host writes 1 at
   // cluster quiescence (or teardown) to release the persistent waves.
   [[nodiscard]] simt::Addr stop_flag(std::uint32_t d) const {
     return stop_flags_[d];

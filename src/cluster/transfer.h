@@ -82,8 +82,9 @@ class TransferRing {
   // Device side (source kernel, once per work cycle per destination):
   // reserves tickets for the staged batch with one AFA and writes every
   // outstanding token whose slot has recycled; the rest stay parked in
-  // `st` for later cycles. Drivers must freeze token production while
-  // anything is parked (same contract as DeviceQueue::publish).
+  // `st` for later cycles. Token production must stop while anything
+  // is parked: the task engine freezes its work phase while a client's
+  // side channel reports parked tokens.
   Kernel<void> publish(Wave& w, XferWaveState& st) const;
 
   // Host side: pops every arrived token in ticket order into `out`,

@@ -193,9 +193,9 @@ struct WaveQueueState {
   // monitor): tokens whose Rear ticket is reserved but whose ring slot
   // has not yet been recycled by the previous epoch's consumer wait
   // here; publish() retries them on every later work cycle, oldest
-  // ticket first. Bounded because drivers freeze the work phase (no new
-  // token production) while anything is parked, so at most one work
-  // cycle's batch is ever outstanding.
+  // ticket first. Bounded because the task engine throttles the work
+  // phase while anything is parked: only as many lanes run as the
+  // remaining entries can absorb at work_budget children each.
   struct Parked {
     std::uint64_t ticket = 0;  // reserved Rear ticket (scheduler-specific)
     std::uint64_t token = 0;
@@ -434,7 +434,7 @@ class DeviceQueue {
   [[nodiscard]] virtual std::uint64_t progress_signature(simt::Device& dev) const;
 
   // Appends (ticket, token) to st.parked (throws SimError past
-  // kMaxParked — drivers freezing production while parked makes that
+  // kMaxParked — the engine's production throttle makes that
   // unreachable) and records the ticket reservation in the attached
   // operation history and task trace. `parent` is the spawning task's
   // trace id: reservation is where a task's identity is born, so the

@@ -90,54 +90,6 @@ std::vector<std::string> FlightRecorder::sources() const {
   return sources_;
 }
 
-void FlightRecorder::merge_from(const FlightRecorder& other) {
-  // Snapshot the source under its own lock first (never hold both).
-  std::vector<std::string> their_sources;
-  std::vector<FlightEvent> their_events;
-  std::map<WaitKey, MonitorWait> their_monitors;
-  std::map<WaitKey, ParkWait> their_parked;
-  std::uint64_t their_drops = 0;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    other.flush_step_locked();
-    their_sources = other.sources_;
-    their_events.reserve(other.ring_.size());
-    for (std::size_t i = 0; i < other.ring_.size(); ++i) {
-      their_events.push_back(
-          other.ring_[(other.first_ + i) % other.capacity_]);
-    }
-    their_monitors = other.monitors_;
-    their_parked = other.parked_;
-    their_drops = other.dropped_;
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  flush_step_locked();
-  // Remap each of the other recorder's source indices into this one's
-  // source list (dedup by label, append new labels).
-  std::vector<std::uint16_t> remap(their_sources.size(), 0);
-  for (std::size_t s = 0; s < their_sources.size(); ++s) {
-    const auto it =
-        std::find(sources_.begin(), sources_.end(), their_sources[s]);
-    if (it != sources_.end()) {
-      remap[s] = static_cast<std::uint16_t>(it - sources_.begin());
-    } else {
-      remap[s] = static_cast<std::uint16_t>(sources_.size());
-      sources_.push_back(their_sources[s]);
-    }
-  }
-  for (FlightEvent e : their_events) {
-    e.source = remap[e.source];
-    append_locked(e);  // keeps the original per-source seq
-  }
-  const auto remap_key = [&](const WaitKey& k) {
-    return WaitKey{remap[std::get<0>(k)], std::get<1>(k), std::get<2>(k)};
-  };
-  for (const auto& [k, v] : their_monitors) monitors_[remap_key(k)] = v;
-  for (const auto& [k, v] : their_parked) parked_[remap_key(k)] = v;
-  dropped_ += their_drops;
-}
-
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   flush_step_locked();

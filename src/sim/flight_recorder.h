@@ -44,11 +44,9 @@
 // two bit-exact schedules produce two byte-identical recorder
 // documents (the same contract TaskTrace::to_json honors).
 //
-// Cluster merging follows the telemetry convention: each device
-// records into its own recorder with source label "dev<N>." (empty for
-// single-device runs); merge_from() concatenates rings and wait tables
-// while remapping each event's source index, so one sink holds every
-// device's recent history without colliding tickets.
+// Cluster devices each record into their own recorder with source label
+// "dev<N>" (empty for single-device runs); the black box lists every
+// device's recorder side by side.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +101,7 @@ struct FlightEvent {
   // Stamped by record(): the recorder's monotone event index (survives
   // ring wrap — event seq s was the (s+1)-th ever recorded) and the
   // source the event came from (index into sources(); 0 = this
-  // recorder's own label until merged into a sink).
+  // recorder's own label).
   std::uint64_t seq = 0;
   std::uint16_t source = 0;
 };
@@ -118,8 +116,7 @@ class FlightRecorder {
   // Appends one event (stamping seq + source 0) and updates the wait
   // tables. Overwrites the oldest ring entry past capacity, counting
   // the overwrite as a drop. Mutex-protected like the sibling
-  // recorders: the simulator is single-threaded but bench sweeps merge
-  // from host threads.
+  // recorders.
   void record(const FlightEvent& e);
 
   // Coalescing fast path for the per-lane protocol feeds (the always-on
@@ -158,21 +155,15 @@ class FlightRecorder {
   }
 
   // Source label for this recorder's own events (the cluster sets
-  // "dev<N>." per device; empty for single-device runs).
+  // "dev<N>" per device; empty for single-device runs).
   void set_source_label(std::string label);
   [[nodiscard]] std::vector<std::string> sources() const;
-
-  // Appends another recorder's ring and wait tables, remapping every
-  // event's source index into this recorder's source list (labels are
-  // deduplicated; drops accumulate). Used by the cluster runtime to
-  // merge per-device recorders into the caller's sink.
-  void merge_from(const FlightRecorder& other);
 
   // Events in recording order, oldest surviving entry first.
   [[nodiscard]] std::vector<FlightEvent> snapshot() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  // Events overwritten by ring wrap (plus drops inherited on merge).
+  // Events overwritten by ring wrap.
   [[nodiscard]] std::uint64_t dropped() const;
   // Total events ever recorded (ring survivors + dropped).
   [[nodiscard]] std::uint64_t recorded() const;

@@ -45,11 +45,8 @@ AttemptsResult run_attempts(const simt::DeviceConfig& config,
       dev.attach_telemetry(sinks.telemetry);
     }
     if (sinks.profiler) dev.attach_profiler(sinks.profiler);
-    simt::FlightRecorder local_recorder;
-    simt::FlightRecorder* recorder =
-        sinks.recorder != nullptr ? sinks.recorder : &local_recorder;
-    recorder->clear();
-    dev.attach_flight_recorder(plan.detach_recorder ? nullptr : recorder);
+    simt::FlightRecorder recorder;
+    dev.attach_flight_recorder(plan.detach_recorder ? nullptr : &recorder);
 
     const simt::RunResult run = launch(dev, *queue);
     if (run.aborted) {

@@ -25,20 +25,19 @@ namespace scq::tasks {
 // Optional observability sinks (not owned; nullptr disables), attached
 // to every attempt's device. Telemetry data accumulates across attempts
 // and runs (the caller owns Telemetry::reset_data), while the trace,
-// history, task trace and recorder are cleared per attempt and so hold
-// exactly the attempt that produced the reported result. When both
-// telemetry and trace are given, sampled telemetry series are mirrored
-// into the trace as Perfetto counter tracks. The profiler accumulates
-// across attempts and runs (the caller owns reset()). Without a
-// recorder the harness attaches an internal one, so an aborted attempt
-// always leaves a black box.
+// history and task trace are cleared per attempt and so hold exactly
+// the attempt that produced the reported result. When both telemetry
+// and trace are given, sampled telemetry series are mirrored into the
+// trace as Perfetto counter tracks. The profiler accumulates across
+// attempts and runs (the caller owns reset()). The flight recorder is
+// the harness's own, one per attempt, so an aborted attempt always
+// leaves a black box.
 struct RunSinks {
   simt::Telemetry* telemetry = nullptr;
   simt::TraceRecorder* trace = nullptr;
   simt::OpHistory* history = nullptr;
   simt::TaskTrace* task_trace = nullptr;
   simt::SimProfiler* profiler = nullptr;
-  simt::FlightRecorder* recorder = nullptr;
 };
 
 inline constexpr std::uint32_t kMaxAttempts = 8;

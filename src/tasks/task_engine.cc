@@ -20,9 +20,12 @@ namespace {
 // carries the finished tickets (a no-op refinement for single-band
 // queues, the closure-frontier requirement for banded ones), and banded
 // queues run slot acquisition for assigned-only waves too (closed-band
-// rescue).
-Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
-                         const TaskEngineOptions& opt) {
+// rescue). The wave's frame owns its client.
+Kernel<void> engine_wave(Wave& w, DeviceQueue& queue,
+                         std::unique_ptr<TaskWaveClient> owned_client,
+                         TaskEngineOptions opt) {
+  TaskWaveClient& client = *owned_client;
+  const std::optional<simt::Addr> stop_word = client.stop_word();
   WaveQueueState st{};
   st.on_reserve = opt.on_reserve;
   std::array<std::uint64_t, kWaveWidth> tokens{};
@@ -35,7 +38,11 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
 
   for (;;) {  // Algorithm 1: one iteration per work cycle
     w.bump(kWorkCycles);
-    if (co_await queue.all_done(w)) break;
+    if (stop_word) {
+      if (co_await w.load(*stop_word) != 0) break;
+    } else if (co_await queue.all_done(w)) {
+      break;
+    }
 
     bool progress = false;
     std::uint32_t finished = 0;
@@ -75,13 +82,17 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
       }
     }
 
-    // Work phase, throttled by parked-buffer headroom: while tokens
-    // wait for ring slots to recycle, only as many lanes may run as the
-    // parked buffer can absorb in the worst case (work_budget children
-    // per lane) — production throttles, consumption never does.
+    // Work phase; production throttles, consumption never does. While a
+    // side channel holds parked tokens no lane runs. Otherwise, while
+    // main-queue tokens wait for ring slots to recycle, only as many
+    // lanes run as the parked buffer can absorb in the worst case
+    // (work_budget children per lane); a side channel with nothing
+    // parked has room for every lane's work step.
     st.clear_produce();
     LaneMask run = working;
-    if (st.has_parked()) {
+    if (client.side_parked()) {
+      run = 0;
+    } else if (st.has_parked()) {
       std::uint32_t allow =
           (WaveQueueState::kMaxParked - st.n_parked) / opt.work_budget;
       run = 0;
@@ -103,8 +114,10 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
     }
 
     // Publish before crediting completions: a task's children must be
-    // reserved before its completion can close the termination (and,
-    // banded, the closure) accounting.
+    // reserved — in the side channels first, then in the main queue —
+    // before its completion can close the termination (and, banded, the
+    // closure) accounting.
+    if (client.side_pending()) co_await client.publish_side(w);
     if (st.total_new() != 0 || st.has_parked()) co_await queue.publish(w, st);
     if (finished) {
       co_await queue.report_complete_tickets(
@@ -117,24 +130,25 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue, TaskWaveClient& client,
 
 }  // namespace
 
+simt::KernelFactory task_wave_kernel(DeviceQueue& queue,
+                                     TaskWaveClientFactory factory,
+                                     const TaskEngineOptions& options) {
+  if (options.work_budget == 0 || options.work_budget > kMaxWorkBudget) {
+    throw simt::SimError(
+        "task engine: work_budget must be in [1, kMaxWorkBudget]");
+  }
+  return [&queue, factory = std::move(factory), options](Wave& w) {
+    return engine_wave(w, queue, factory(w), options);
+  };
+}
+
 simt::RunResult run_task_waves(simt::Device& dev, DeviceQueue& queue,
                                const TaskWaveClientFactory& factory,
                                const TaskEngineOptions& options) {
-  if (options.work_budget == 0 || options.work_budget > kMaxWorkBudget) {
-    throw simt::SimError(
-        "run_task_waves: work_budget must be in [1, kMaxWorkBudget]");
-  }
   const std::uint32_t workgroups = options.num_workgroups != 0
                                        ? options.num_workgroups
                                        : dev.config().resident_waves();
-  // Clients live in the launch scope; the vector only ever grows, and
-  // the pointed-to objects are stable across its reallocation.
-  std::vector<std::unique_ptr<TaskWaveClient>> clients;
-  clients.reserve(workgroups);
-  return dev.launch(workgroups, [&](Wave& w) -> Kernel<void> {
-    clients.push_back(factory(w));
-    return engine_wave(w, queue, *clients.back(), options);
-  });
+  return dev.launch(workgroups, task_wave_kernel(queue, factory, options));
 }
 
 // ---- Host-callback layer ----

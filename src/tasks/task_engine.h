@@ -3,18 +3,22 @@
 //
 // Two layers share one wave loop:
 //
-//   TaskWaveClient / run_task_waves — the kernel-side interface, and the
-//     only persistent work loop of every single-device run. The engine
-//     owns the work cycle (Algorithm 1: all-done check, slot
+//   TaskWaveClient / task_wave_kernel / run_task_waves — the kernel-side
+//     interface, and the only persistent work loop of every run. The
+//     engine owns the work cycle (Algorithm 1: all-done check, slot
 //     acquisition, arrival polling, backpressure throttle, publish,
 //     completion credits) and delegates exactly two things to the
 //     client: the prolog for arrived lanes and one work step over the
-//     running lanes. Completions are reported per ticket, so the banded
+//     running lanes. Two optional client seams cover runs whose work
+//     leaves the device: a host-written stop word in place of the
+//     all-done check, and side channels published ahead of the main
+//     queue. Completions are reported per ticket, so the banded
 //     multi-queue's closure frontier works unchanged, and on banded
 //     queues slot acquisition also runs for assigned-only waves (the
 //     closed-band rescue). The label-correcting BFS / SSSP /
-//     delta-stepping drivers (bfs/pt_relax.cc) and the host-callback
-//     layer below are its clients.
+//     delta-stepping drivers (bfs/pt_relax.cc), the cluster kernel
+//     (bfs/cluster_bfs.cc) and the host-callback layer below are its
+//     clients.
 //
 //   TaskContext / run_host_tasks / run_task_graph — the host-callback
 //     task API. User tasks are host functions handed a TaskContext:
@@ -44,6 +48,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -82,6 +87,28 @@ class TaskWaveClient {
   // finished this step; unfinished lanes run again next cycle.
   virtual Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
                                      LaneMask run) = 0;
+
+  // ---- Optional seams; the defaults are those of a single-device run.
+
+  // Termination seam: a host-written stop word. When a client names
+  // one, the engine loads it where it would otherwise check Completed
+  // == Rear, and the wave exits once the word is non-zero — for runs
+  // whose quiescence only the host can see (the cluster kernel).
+  [[nodiscard]] virtual std::optional<simt::Addr> stop_word() const {
+    return std::nullopt;
+  }
+
+  // Side-channel seam: rings the client publishes to besides the main
+  // queue (the cluster's transfer rings). In a cycle where side_pending()
+  // holds (tokens staged or parked), publish_side() runs ahead of the
+  // main-queue publish and before completions are credited, so a task's
+  // children are reserved everywhere before its completion counts. While
+  // side_parked() holds, the work phase runs no lane: each side channel
+  // is sized, like the main queue's parked buffer, for one work step of
+  // every lane, so it takes new tokens only while nothing waits in it.
+  [[nodiscard]] virtual bool side_pending() const { return false; }
+  [[nodiscard]] virtual bool side_parked() const { return false; }
+  virtual Kernel<void> publish_side(Wave&) { co_return; }
 };
 
 using TaskWaveClientFactory =
@@ -105,9 +132,18 @@ struct TaskEngineOptions {
   const ReserveHook* on_reserve = nullptr;
 };
 
-// Runs the persistent-thread loop to termination over an already-seeded
-// queue. The caller owns device construction, seeding, and any
-// observability attachment.
+// The engine's wave kernel: each wave gets a client from `factory` and
+// runs the work cycle over `queue` until it terminates. For launchers
+// that step the launch themselves (cluster::Cluster::run), which also
+// pick the workgroup count; options.num_workgroups is not read here.
+// SimError unless work_budget is in [1, kMaxWorkBudget].
+simt::KernelFactory task_wave_kernel(DeviceQueue& queue,
+                                     TaskWaveClientFactory factory,
+                                     const TaskEngineOptions& options = {});
+
+// Launches task_wave_kernel to termination over an already-seeded queue.
+// The caller owns device construction, seeding, and any observability
+// attachment.
 simt::RunResult run_task_waves(simt::Device& dev, DeviceQueue& queue,
                                const TaskWaveClientFactory& factory,
                                const TaskEngineOptions& options = {});

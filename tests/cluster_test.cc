@@ -334,6 +334,12 @@ TEST(ClusterTest, RejectsInvalidOptions) {
   opt = {};
   EXPECT_THROW(run_cluster_bfs(small_device(), g, g.num_vertices(), opt),
                simt::SimError);
+  // A zero quantum never advances the superstep horizon.
+  opt.quantum = 0;
+  EXPECT_THROW(run_cluster_bfs(small_device(), g, 0, opt), simt::SimError);
+  opt = {};
+  opt.work_budget = 0;
+  EXPECT_THROW(run_cluster_bfs(small_device(), g, 0, opt), simt::SimError);
 }
 
 // ---- Stall detection (drained != dead != quiescent) ----

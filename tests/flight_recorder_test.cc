@@ -143,42 +143,6 @@ TEST(FlightRecorderTest, LogStepsAddsWholeBatchesAndClearResetsPending) {
   EXPECT_EQ(rec.recorded(), 0u);
 }
 
-TEST(FlightRecorderTest, MergeRemapsSourcesAndAccumulatesDrops) {
-  FlightRecorder dev0(2), dev1(8), sink(16);
-  dev0.set_source_label("dev0");
-  dev1.set_source_label("dev1");
-  for (std::uint64_t i = 0; i < 3; ++i) dev0.record(note(i));  // 1 drop
-  dev1.record({FlightKind::kClaim, 4, 0, 8, 0, 1, 50});
-
-  sink.merge_from(dev0);
-  sink.merge_from(dev1);
-
-  const std::vector<std::string> sources = sink.sources();
-  ASSERT_EQ(sources.size(), 3u);
-  EXPECT_EQ(sources[0], "");
-  EXPECT_EQ(sources[1], "dev0");
-  EXPECT_EQ(sources[2], "dev1");
-  EXPECT_EQ(sink.dropped(), 1u);
-
-  const std::vector<FlightEvent> events = sink.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].source, 1u);
-  EXPECT_EQ(events[1].source, 1u);
-  EXPECT_EQ(events[2].source, 2u);
-  // Per-source seq survives the merge (dev0's survivors are its events
-  // 1 and 2 after the ring dropped event 0).
-  EXPECT_EQ(events[0].seq, 1u);
-  EXPECT_EQ(events[1].seq, 2u);
-  EXPECT_EQ(events[2].seq, 0u);
-
-  // Wait keys carry the remapped source, so identical tickets from
-  // different devices do not collide.
-  auto monitors = sink.monitors();
-  ASSERT_EQ(monitors.size(), 1u);
-  EXPECT_EQ(std::get<0>(monitors.begin()->first), 2u);
-  EXPECT_EQ(std::get<2>(monitors.begin()->first), 8u);
-}
-
 TEST(FlightRecorderTest, ClearDropsDataButKeepsLabel) {
   FlightRecorder rec(4);
   rec.set_source_label("dev3");

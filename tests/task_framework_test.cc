@@ -1,19 +1,24 @@
 // Dynamic task framework (src/tasks) unit tests: the engine's
-// arrival-finished lanes, the soundness guards (spawn depth,
+// arrival-finished lanes and its two client seams (stop word, side
+// channels), the soundness guards (spawn depth,
 // dependency-counter underflow, unreleased dependencies, band
 // monotonicity), the overflow stash, and phase-close accounting on the
 // banded multi-queue. The front-ends' schedules are pinned by
 // driver_golden_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/bucketed_queue.h"
 #include "core/counters.h"
+#include "core/ext_schedulers.h"
 #include "tasks/task_engine.h"
 
 namespace scq::tasks {
@@ -152,6 +157,190 @@ TEST(TaskEngine, ArrivalFinishedLanesReportEachTicketOnce) {
   }
   // Arrival finishers completed without ever running a work step.
   EXPECT_EQ(run.stats.user[kTasksProcessed], work_step_finishers);
+}
+
+// Every task finishes in one work step; the run ends on a host-written
+// stop word instead of Completed == Rear.
+class StopWordClient final : public TaskWaveClient {
+ public:
+  explicit StopWordClient(simt::Addr stop) : stop_(stop) {}
+
+  [[nodiscard]] std::optional<simt::Addr> stop_word() const override {
+    return stop_;
+  }
+  Kernel<LaneMask> on_arrival(Wave&, WaveQueueState&, LaneMask,
+                              std::span<const std::uint64_t>) override {
+    co_return 0;
+  }
+  Kernel<LaneMask> work_step(Wave& w, WaveQueueState&, LaneMask run) override {
+    co_await w.compute(4);
+    co_return run;
+  }
+
+ private:
+  simt::Addr stop_;
+};
+
+TEST(TaskEngine, StopWordKeepsWavesRunningPastCompletedEqualsRear) {
+  constexpr std::uint64_t kSeeds = 40;
+  simt::Device dev(small_device());
+  const std::unique_ptr<DeviceQueue> queue =
+      make_scheduler(dev, QueueVariant::kRfan, 128);
+  std::vector<std::uint64_t> seeds(kSeeds);
+  for (std::uint64_t t = 0; t < kSeeds; ++t) seeds[t] = t;
+  queue->seed(dev, seeds);
+  const simt::Addr stop = dev.alloc(1).base;
+  dev.write_word(stop, 0);
+
+  const std::uint32_t waves = dev.config().resident_waves();
+  dev.launch_begin(waves, task_wave_kernel(*queue, [stop](Wave&) {
+    return std::make_unique<StopWordClient>(stop);
+  }));
+  const auto all_done = [&] {
+    return dev.read_word(queue->layout().completed_addr()) ==
+           dev.read_word(queue->layout().rear_addr());
+  };
+  simt::Cycle horizon = 0;
+  while (!all_done()) {
+    horizon += 10000;
+    ASSERT_EQ(dev.step_until(horizon), simt::StepStatus::kRanToHorizon);
+    ASSERT_LT(horizon, simt::Cycle{10000000}) << "tasks never completed";
+  }
+
+  // Every task is done, yet the waves keep cycling until the host writes
+  // the word.
+  const std::uint64_t cycles_at_done = dev.stats().user[kWorkCycles];
+  horizon += 100000;
+  EXPECT_EQ(dev.step_until(horizon), simt::StepStatus::kRanToHorizon);
+  EXPECT_GT(dev.stats().user[kWorkCycles], cycles_at_done);
+
+  dev.write_word(stop, 1);
+  EXPECT_EQ(dev.step_until(~simt::Cycle{0}), simt::StepStatus::kDrained);
+  const simt::RunResult run = dev.launch_end();
+  ASSERT_FALSE(run.aborted) << run.abort_reason;
+  EXPECT_EQ(run.stats.waves_completed, waves);
+  EXPECT_EQ(run.stats.user[kTasksProcessed], kSeeds);
+}
+
+// One wave. Its side channel stays parked for its first kSideFlushes
+// publish_side() calls. Seeds (t < n) run kSeedSteps work steps and push
+// kFanout leaf children (t >= n) per step; leaves finish in one step.
+class SideChannelClient final : public TaskWaveClient {
+ public:
+  static constexpr int kSideFlushes = 12;
+  static constexpr unsigned kSeedSteps = 2;
+  static constexpr unsigned kFanout = 16;
+
+  struct Log {
+    int side_publishes = 0;
+    int froze_with_work = 0;     // parked cycles with lanes holding tasks
+    int steps_while_parked = 0;  // work steps run while parked (must be 0)
+    int throttled_steps = 0;     // steps that ran fewer lanes than working
+    int wrong_allowance = 0;     // steps not matching the proportional rule
+    std::uint64_t children = 0;
+  };
+
+  SideChannelClient(std::uint64_t n, unsigned work_budget, Log& log)
+      : n_(n), work_budget_(work_budget), log_(log) {}
+
+  [[nodiscard]] bool side_pending() const override { return flushes_ > 0; }
+  [[nodiscard]] bool side_parked() const override { return flushes_ > 0; }
+  Kernel<void> publish_side(Wave&) override {
+    ++log_.side_publishes;
+    if (working_ != 0) ++log_.froze_with_work;
+    --flushes_;
+    co_return;
+  }
+
+  Kernel<LaneMask> on_arrival(Wave&, WaveQueueState& st, LaneMask arrived,
+                              std::span<const std::uint64_t> tokens) override {
+    for_lanes(arrived, [&](unsigned lane) {
+      token_[lane] = tokens[lane];
+      ticket_[lane] = st.deliver_ticket[lane];
+      steps_[lane] = 0;
+    });
+    working_ |= arrived;
+    co_return 0;
+  }
+
+  Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
+                             LaneMask run) override {
+    if (flushes_ > 0) ++log_.steps_while_parked;
+    const auto lanes = [](LaneMask m) {
+      return static_cast<std::uint32_t>(std::popcount(m));
+    };
+    if (st.has_parked()) {
+      // The main queue's proportional throttle: as many lanes as the
+      // parked buffer can absorb at work_budget children each.
+      const std::uint32_t allow =
+          (WaveQueueState::kMaxParked - st.n_parked) / work_budget_;
+      if (lanes(run) != std::min(lanes(working_), allow)) {
+        ++log_.wrong_allowance;
+      }
+      if (run != working_) ++log_.throttled_steps;
+    }
+    LaneMask done = 0;
+    for_lanes(run, [&](unsigned lane) {
+      if (token_[lane] >= n_) {
+        done |= bit(lane);
+        return;
+      }
+      for (unsigned c = 0; c < kFanout; ++c) {
+        st.push_token(lane, n_ + log_.children++, ticket_[lane]);
+      }
+      if (++steps_[lane] == kSeedSteps) done |= bit(lane);
+    });
+    working_ &= ~done;
+    co_await w.compute(4);
+    co_return done;
+  }
+
+ private:
+  std::uint64_t n_;
+  unsigned work_budget_;
+  Log& log_;
+  int flushes_ = kSideFlushes;
+  LaneMask working_ = 0;
+  std::array<std::uint64_t, kWaveWidth> token_{};
+  std::array<std::uint64_t, kWaveWidth> ticket_{};
+  std::array<unsigned, kWaveWidth> steps_{};
+};
+
+TEST(TaskEngine, ParkedSideChannelFreezesWorkThenMainThrottleResumes) {
+  constexpr std::uint64_t kSeeds = kWaveWidth;
+  simt::Device dev(small_device());
+  // A ring only as deep as the seed batch: the first work step's
+  // children overflow it and park on the main queue.
+  const std::unique_ptr<DeviceQueue> queue =
+      make_scheduler(dev, QueueVariant::kRfan, kSeeds);
+  std::vector<std::uint64_t> seeds(kSeeds);
+  for (std::uint64_t t = 0; t < kSeeds; ++t) seeds[t] = t;
+  queue->seed(dev, seeds);
+
+  SideChannelClient::Log log;
+  const TaskEngineOptions opt{.work_budget = kMaxWorkBudget,
+                              .num_workgroups = 1};
+  const simt::RunResult run = run_task_waves(
+      dev, *queue,
+      [&](Wave&) {
+        return std::make_unique<SideChannelClient>(kSeeds, opt.work_budget,
+                                                   log);
+      },
+      opt);
+  ASSERT_FALSE(run.aborted) << run.abort_reason;
+
+  // While the side channel was parked, lanes held tasks and none ran.
+  EXPECT_EQ(log.side_publishes, SideChannelClient::kSideFlushes);
+  EXPECT_GT(log.froze_with_work, 0);
+  EXPECT_EQ(log.steps_while_parked, 0);
+  // Once it cleared, main-queue parking throttled proportionally: some
+  // lanes ran, fewer than were working, exactly as many as allowed.
+  EXPECT_GT(log.throttled_steps, 0);
+  EXPECT_EQ(log.wrong_allowance, 0);
+  const std::uint64_t children =
+      kSeeds * SideChannelClient::kSeedSteps * SideChannelClient::kFanout;
+  EXPECT_EQ(log.children, children);
+  EXPECT_EQ(run.stats.user[kTasksProcessed], kSeeds + children);
 }
 
 // ---- Host-task engine ----
