@@ -99,10 +99,6 @@ int main(int argc, char** argv) {
   args.add_double("scale", "dataset scale factor in (0,1]", 0.05);
   args.add_int("repeat", "identical runs per pass (wall time accumulates)", 3);
   args.add_string("device", "device config (Fiji|Spectre)", "Spectre");
-  args.add_double("gate-ratio",
-                  "fail unless bare events/sec >= this multiple of the "
-                  "baseline's seed_events_per_sec (0 = off; needs --baseline)",
-                  0.0);
   args.add_double("recorder-budget",
                   "fail if the always-on flight recorder costs more than "
                   "this percent over a recorder-detached run (0 = report "
@@ -150,41 +146,6 @@ int main(int argc, char** argv) {
   }
   obs.record_metric("wall_ms", bare_wall * 1e3);
   obs.record_metric("events_per_sec", prof.events_per_sec());
-
-  // --gate-ratio: the throughput floor. The baseline records the seed
-  // tree's events/sec as a top-level `seed_events_per_sec` key (outside
-  // "metrics", so the deterministic perf_diff never sees it — wall
-  // clock is exactly what that guard must ignore); this gate fails the
-  // bench when the event loop has lost its rebuild speedup. It assumes
-  // hardware comparable to the machine that stamped the baseline.
-  if (const double gate_ratio = args.get_double("gate-ratio");
-      gate_ratio > 0.0) {
-    const std::string base_path = args.get_string("baseline");
-    const std::optional<util::JsonValue> base =
-        base_path.empty() ? std::nullopt : util::parse_json_file(base_path);
-    if (!base || !base->has("seed_events_per_sec") ||
-        base->at("seed_events_per_sec").kind !=
-            util::JsonValue::Kind::kNumber) {
-      std::fprintf(stderr,
-                   "--gate-ratio needs --baseline with a numeric top-level "
-                   "seed_events_per_sec key\n");
-      return 2;
-    }
-    const double seed_eps = base->at("seed_events_per_sec").number;
-    const double ratio =
-        seed_eps > 0.0 ? prof.events_per_sec() / seed_eps : 0.0;
-    std::printf("\nthroughput gate: %.3g events/sec vs seed %.3g = %.2fx "
-                "(floor %.2fx): %s\n",
-                prof.events_per_sec(), seed_eps, ratio, gate_ratio,
-                ratio >= gate_ratio ? "PASS" : "FAIL");
-    if (ratio < gate_ratio) {
-      std::fprintf(stderr,
-                   "FATAL: event-loop throughput %.3g ev/s is below %.2fx "
-                   "the seed baseline %.3g ev/s\n",
-                   prof.events_per_sec(), gate_ratio, seed_eps);
-      return 1;
-    }
-  }
 
   // Pass 1b: recorder overhead. The drivers keep a flight recorder
   // attached on every run (the black-box contract), so pass 1 above IS

@@ -10,7 +10,6 @@
 
 #include "cluster/token.h"
 #include "core/counters.h"
-#include "core/task_probes.h"
 #include "graph/sssp_ref.h"
 #include "tasks/task_engine.h"
 
@@ -111,16 +110,11 @@ class ClusterClient final : public tasks::TaskWaveClient {
     // The rest finish here, and count as processed like work-step
     // finishers.
     const LaneMask immediate = arrived & ~enumerate;
-    const bool tasks_traced = task_sink(w) != nullptr;
+    simt::ProtocolStream& events = w.device().protocol();
     for_lanes(arrived, [&](unsigned lane) {
       ticket_[lane] = st.deliver_ticket[lane];
-      if (tasks_traced) {
-        trace_task(w, simt::TaskPhase::kExecStart, ticket_[lane],
-                   vertex_[lane]);
-        if (immediate & bit(lane)) {
-          trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
-        }
-      }
+      events.exec_start(w, ticket_[lane], vertex_[lane]);
+      if (immediate & bit(lane)) events.exec_end(w, ticket_[lane]);
     });
     w.bump(kTasksProcessed,
            static_cast<std::uint64_t>(std::popcount(immediate)));
@@ -200,11 +194,10 @@ class ClusterClient final : public tasks::TaskWaveClient {
     }
 
     LaneMask done = 0;
-    const bool tasks_traced = task_sink(w) != nullptr;
     for_lanes(run, [&](unsigned lane) {
       if (cursor_[lane] < row_end_[lane]) return;
       done |= bit(lane);
-      if (tasks_traced) trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
+      w.device().protocol().exec_end(w, ticket_[lane]);
     });
     co_return done;
   }

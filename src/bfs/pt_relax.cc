@@ -18,7 +18,6 @@
 #include "core/bucketed_queue.h"
 #include "core/counters.h"
 #include "core/ext_schedulers.h"
-#include "core/task_probes.h"
 #include "tasks/task_engine.h"
 
 namespace scq::bfs {
@@ -69,7 +68,6 @@ class RelaxClient final : public tasks::TaskWaveClient {
       addr_[lane] = g.cost.at(vertex_[lane]);
     });
     co_await w.load_lanes(arrived, addr_, cost_);
-    const bool tasks_traced = task_sink(w) != nullptr;
     LaneMask stale = 0;
     for_lanes(arrived, [&](unsigned lane) {
       // Stale-token skip: the packed bucket trails the vertex's current
@@ -87,10 +85,7 @@ class RelaxClient final : public tasks::TaskWaveClient {
       cursor_[lane] = row_begin_[lane];
       heavy_sweep_[lane] = saw_heavy_[lane] = false;
       ticket_[lane] = st.deliver_ticket[lane];
-      if (tasks_traced) {
-        trace_task(w, simt::TaskPhase::kExecStart, ticket_[lane],
-                   vertex_[lane]);
-      }
+      w.device().protocol().exec_start(w, ticket_[lane], vertex_[lane]);
     });
     co_return stale;
   }
@@ -174,7 +169,6 @@ class RelaxClient final : public tasks::TaskWaveClient {
     }
 
     LaneMask done = 0;
-    const bool tasks_traced = task_sink(w) != nullptr;
     for_lanes(run, [&](unsigned lane) {
       if (cursor_[lane] < row_end_[lane]) return;
       if (saw_heavy_[lane] && !heavy_sweep_[lane]) {
@@ -183,7 +177,7 @@ class RelaxClient final : public tasks::TaskWaveClient {
         return;
       }
       done |= bit(lane);
-      if (tasks_traced) trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
+      w.device().protocol().exec_end(w, ticket_[lane]);
     });
     co_return done;
   }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "cluster/token.h"
-#include "sim/op_history.h"
 
 namespace scq::cluster {
 
@@ -109,7 +108,8 @@ void Router::deliver(std::span<const std::unique_ptr<simt::Device>> devices,
   const std::uint32_t n = static_cast<std::uint32_t>(pending_.size());
   for (std::uint32_t d = 0; d < n; ++d) {
     simt::Device& dev = *devices[d];
-    const QueueLayout& q = queues[d]->layout();
+    const DeviceQueue& queue = *queues[d];
+    const QueueLayout& q = queue.layout();
     if (policy_ == BalancePolicy::kStealPriority) {
       // Priority injection: lowest cost first (stable, so equal-cost
       // tokens keep their deterministic arrival order).
@@ -133,16 +133,8 @@ void Router::deliver(std::span<const std::unique_ptr<simt::Device>> devices,
       dev.write_word(q.slot_addr(index), slot_full_word(epoch, token));
       dev.write_word(q.rear_addr(), rear + 1);
       ++stats_.delivered;
-      if (simt::OpHistory* hist = dev.op_history()) {
-        hist->record({simt::QueueOp::kEnqueueReserve, simt::kHostActor, rear,
-                      index, epoch, token, dev.now()});
-        hist->record({simt::QueueOp::kEnqueueWrite, simt::kHostActor, rear,
-                      index, epoch, token, dev.now()});
-      }
-      if (simt::FlightRecorder* rec = dev.flight_recorder()) {
-        rec->record({simt::FlightKind::kRouter, simt::kHostActor, 0, rear,
-                     token, 0, dev.now()});
-      }
+      dev.protocol().host_publish(queue, simt::HostOrigin::kRouter, rear, token,
+                                  dev.now());
     }
   }
 }

@@ -36,7 +36,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     const simt::CasResult r = co_await w.atomic_add(rear_addr(), total);
 
     std::uint64_t ticket = r.old_value;
-    simt::FlightRecorder* rec = recorder_sink(w);
+    simt::ProtocolStream& events = w.device().protocol();
     for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         if (st.n_parked >= XferWaveState::kMaxParked) {
@@ -44,10 +44,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
               "transfer ring: parked-token overflow — the driver must "
               "freeze production while transfers are backpressured");
         }
-        if (rec) {
-          rec->record({simt::FlightKind::kXferReserve, w.slot_id(), tag_,
-                       ticket, st.new_tokens[lane][t], 0, w.now()});
-        }
+        events.xfer_reserve(w, tag_, ticket, st.new_tokens[lane][t]);
         st.parked[st.n_parked++] = {ticket++, st.new_tokens[lane][t]};
       }
     }
@@ -88,13 +85,10 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     }
     co_await w.store_lanes(writable, addrs, full);
     w.bump(kXferTokens, static_cast<std::uint64_t>(std::popcount(writable)));
-    if (simt::FlightRecorder* rec = recorder_sink(w)) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (!(writable & bit(i))) continue;
-        rec->record({simt::FlightKind::kXferWrite, w.slot_id(), tag_,
-                     st.parked[i].ticket, st.parked[i].token, 0, w.now()});
-      }
-    }
+    for_lanes(writable, [&](unsigned i) {
+      w.device().protocol().xfer_write(w, tag_, st.parked[i].ticket,
+                                       st.parked[i].token);
+    });
 
     std::uint32_t out = 0;
     for (std::uint32_t i = 0; i < st.n_parked; ++i) {

@@ -114,7 +114,7 @@ std::string BlackBoxBuilder::to_json() const {
 std::string dump_black_box(simt::Device& dev, const DeviceQueue* queue,
                            const std::string& reason) {
   BlackBoxBuilder box(reason);
-  box.add_device("", dev, queue, dev.flight_recorder());
+  box.add_device("", dev, queue, dev.protocol().recorder());
   return box.to_json();
 }
 

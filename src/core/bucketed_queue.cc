@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "core/counters.h"
-#include "core/task_probes.h"
 
 namespace scq {
 
@@ -51,16 +50,10 @@ std::uint64_t BucketedMultiQueue::mapped_band(std::uint64_t token) const {
   return std::min<std::uint64_t>(band_map_(token), bands_ - 1);
 }
 
-DeviceQueue::SlotRef BucketedMultiQueue::slot_of(std::uint64_t ticket) const {
+SlotRef BucketedMultiQueue::slot_of(std::uint64_t ticket) const {
   const std::uint64_t band = ticket >> kTokenBits;
   const std::uint64_t local = ticket & kMaxToken;
   return {band * per_band_ + local % per_band_, local / per_band_};
-}
-
-std::uint64_t BucketedMultiQueue::ticket_of(std::uint64_t slot,
-                                            std::uint64_t epoch) const {
-  const std::uint64_t band = slot / per_band_;
-  return encode_ticket(band, epoch * per_band_ + slot % per_band_);
 }
 
 std::uint64_t BucketedMultiQueue::progress_signature(simt::Device& dev) const {
@@ -151,20 +144,11 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
       st.assigned &= ~dropped;
       st.hungry |= dropped;  // rescued lanes rejoin this cycle's claim
     }
-    simt::OpHistory* hist = history_sink(w);
-    simt::FlightRecorder* frec = recorder_sink(w);
     for (std::uint32_t b = 0; b < frontier; ++b) {
       if (close_recorded_[b]) continue;
       close_recorded_[b] = true;
       w.bump(kBandCloses);
-      if (hist) {
-        hist->record({simt::QueueOp::kBandClose, w.slot_id(),
-                      snap[bands_ + b], 0, 0, 0, w.now(), b});
-      }
-      if (frec) {
-        frec->record({simt::FlightKind::kBandClose, w.slot_id(), 0,
-                      snap[bands_ + b], 0, b, w.now()});
-      }
+      w.device().protocol().band_close(w, b, snap[bands_ + b]);
     }
   }
 
@@ -196,29 +180,7 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   co_await w.lds_ops(n + 1);
   w.bump(kQueueAtomics);
   const simt::CasResult r = co_await w.atomic_add(front_of(target), n);
-
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // One AFA claimed n contiguous tickets in the band: one batch.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0,
-                   encode_ticket(target, r.old_value), target, w.now(), n);
-  }
-  unsigned k = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    const std::uint64_t ticket = encode_ticket(target, r.old_value + k++);
-    const SlotRef ref = slot_of(ticket);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), ticket,
-                    ref.index, ref.epoch, 0, w.now(), target});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, ticket);
-  });
-  st.assigned |= st.hungry;
-  st.hungry = 0;
+  bind_claim_run(w, st, encode_ticket(target, r.old_value), n);
   co_await w.compute(2);  // ticket -> (band, slot, epoch) conversion
 
   if (simt::Telemetry* probes = probe_sink(w)) {
@@ -289,15 +251,11 @@ Kernel<void> BucketedMultiQueue::report_complete_tickets(
       1);
   std::array<std::uint32_t, kMaxBands> counts{};
   for (const std::uint64_t t : tickets) ++counts[band_of(t)];
-  simt::FlightRecorder* rec = recorder_sink(w);
   for (std::uint32_t b = 0; b < bands_; ++b) {
     if (counts[b] == 0) continue;
     w.bump(kQueueAtomics);
     co_await w.atomic_add(completed_of(b), counts[b]);
-    if (rec) {
-      rec->record({simt::FlightKind::kComplete, w.slot_id(), 0, 0, counts[b],
-                   b, w.now()});
-    }
+    w.device().protocol().complete(w, counts[b], b);
   }
 }
 
@@ -330,8 +288,6 @@ void BucketedMultiQueue::seed(simt::Device& dev,
 
   // Route each seed to its band, preserving order within a band.
   std::vector<std::uint64_t> rear(bands_, 0);
-  simt::OpHistory* hist = dev.op_history();
-  simt::TaskTrace* trace = dev.task_trace();
   for (const std::uint64_t token : tokens) {
     if (token > kMaxToken) {
       throw simt::SimError(
@@ -346,22 +302,8 @@ void BucketedMultiQueue::seed(simt::Device& dev,
     const std::uint64_t ticket = encode_ticket(band, local);
     const SlotRef ref = slot_of(ticket);
     dev.write_word(layout_.slot_addr(ref.index), slot_full_word(0, token));
-    if (hist) {
-      hist->record({simt::QueueOp::kEnqueueReserve, simt::kHostActor, ticket,
-                    ref.index, ref.epoch, token, dev.now(), band});
-      hist->record({simt::QueueOp::kEnqueueWrite, simt::kHostActor, ticket,
-                    ref.index, ref.epoch, token, dev.now(), band});
-    }
-    if (trace != nullptr) {
-      trace->record({simt::TaskPhase::kReserve, ticket, simt::kNoTask, token,
-                     simt::kHostActor, 0, dev.now()});
-      trace->record({simt::TaskPhase::kPayloadWrite, ticket, simt::kNoTask,
-                     token, simt::kHostActor, 0, dev.now()});
-    }
-    if (simt::FlightRecorder* rec = dev.flight_recorder()) {
-      rec->record({simt::FlightKind::kWrite, simt::kHostActor, 0, ticket,
-                   token, band, dev.now()});
-    }
+    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, ticket, token,
+                                dev.now());
   }
   for (std::uint32_t b = 0; b < bands_; ++b) {
     dev.write_word(rear_of(b), rear[b]);

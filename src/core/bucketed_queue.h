@@ -87,10 +87,9 @@ class BucketedMultiQueue final : public DeviceQueue {
 
   [[nodiscard]] std::uint64_t per_band_capacity() const { return per_band_; }
 
- protected:
   [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override;
-  [[nodiscard]] std::uint64_t ticket_of(std::uint64_t slot,
-                                        std::uint64_t epoch) const override;
+
+ protected:
   [[nodiscard]] std::uint64_t progress_signature(simt::Device& dev) const override;
 
  private:

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/counters.h"
-#include "core/task_probes.h"
 
 namespace scq {
 
@@ -66,21 +65,6 @@ void seed_device_queue(simt::Device& dev, const QueueLayout& q,
     dev.write_word(q.slot_addr(i), slot_full_word(0, tokens[i]));
   }
   dev.write_word(q.rear_addr(), tokens.size());
-  if (simt::OpHistory* hist = dev.op_history()) {
-    // Seed tokens occupy tickets 0..n-1 of epoch 0.
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      hist->record({simt::QueueOp::kEnqueueReserve, simt::kHostActor, i,
-                    i, 0, tokens[i], dev.now()});
-      hist->record({simt::QueueOp::kEnqueueWrite, simt::kHostActor, i,
-                    i, 0, tokens[i], dev.now()});
-    }
-  }
-  if (simt::FlightRecorder* rec = dev.flight_recorder()) {
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      rec->record({simt::FlightKind::kWrite, simt::kHostActor, 0, i,
-                   tokens[i], 0, dev.now()});
-    }
-  }
 }
 
 // ---- Shared dequeue phase 2: data arrival (paper Listing 2) ----
@@ -120,54 +104,13 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
         slot_epoch_tag(values[lane]) == (st.epoch[lane] & kEpochTagMask)) {
       arrived |= bit(lane);
       tokens[lane] = slot_payload(values[lane]);
-      st.deliver_ticket[lane] =
-          traceable ? ticket_of(st.slot[lane], st.epoch[lane]) : kNoTask;
+      st.deliver_ticket[lane] = traceable ? st.ticket[lane] : kNoTask;
     }
   });
   const unsigned missed = static_cast<unsigned>(std::popcount(st.assigned & ~arrived));
   if (missed) w.bump(kPolls, missed);
-  if (simt::OpHistory* hist = history_sink(w)) {
-    for_lanes(arrived, [&](unsigned lane) {
-      const std::uint64_t ticket = ticket_of(st.slot[lane], st.epoch[lane]);
-      hist->record({simt::QueueOp::kDequeueDeliver, w.slot_id(), ticket,
-                    st.slot[lane], st.epoch[lane], tokens[lane], w.now(),
-                    band_of(ticket)});
-    });
-  }
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // A claim becomes a *wait* on its first missed poll: record the full
-    // event once so the recorder's monitor table picks it up (`since` =
-    // first miss). The claim itself was only ring-logged by the acquire
-    // path. Deliveries of waited tickets record fully (retiring the
-    // monitor entry); healthy deliveries take the coalescing fast path.
-    const LaneMask fresh_miss = st.assigned & ~arrived & ~st.miss_noted;
-    for_lanes(fresh_miss, [&](unsigned lane) {
-      const std::uint64_t ticket = ticket_of(st.slot[lane], st.epoch[lane]);
-      rec->record({simt::FlightKind::kClaim, w.slot_id(), 0, ticket, 0,
-                   band_of(ticket), w.now()});
-    });
-    st.miss_noted |= fresh_miss;
-    if (const LaneMask healthy = arrived & ~st.miss_noted) {
-      // Never-missed deliveries: one batched ring event for the wave.
-      const unsigned lane0 = static_cast<unsigned>(std::countr_zero(healthy));
-      const std::uint64_t t0 = ticket_of(st.slot[lane0], st.epoch[lane0]);
-      rec->log_steps(simt::FlightKind::kDeliver, w.slot_id(), 0, t0,
-                     band_of(t0), w.now(),
-                     static_cast<std::uint32_t>(std::popcount(healthy)));
-    }
-    for_lanes(arrived & st.miss_noted, [&](unsigned lane) {
-      const std::uint64_t ticket = ticket_of(st.slot[lane], st.epoch[lane]);
-      rec->record({simt::FlightKind::kDeliver, w.slot_id(), 0, ticket,
-                   tokens[lane], band_of(ticket), w.now()});
-    });
-    st.miss_noted &= ~arrived;
-  }
-  if (task_sink(w) != nullptr && traceable) {
-    for_lanes(arrived, [&](unsigned lane) {
-      trace_task(w, simt::TaskPhase::kArrival, st.deliver_ticket[lane],
-                 tokens[lane]);
-    });
-  }
+  w.device().protocol().poll(w, *this, st.assigned, arrived, st.ticket, tokens,
+                             st.miss_noted);
   if (simt::Telemetry* probes = probe_sink(w); probes && arrived) {
     // Slot-monitor wait: slot assignment to the sentinel clearing. The
     // windowed series carries the same cycles per delivery window, so
@@ -199,7 +142,19 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
 void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
   seed_device_queue(dev, layout_, tokens);
   resident_ = tokens.size();
-  trace_seed_tasks(dev, *this, tokens);
+  // Seed tokens occupy tickets 0..n-1 of epoch 0.
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, i, tokens[i],
+                                dev.now());
+  }
+}
+
+Kernel<void> DeviceQueue::report_complete(Wave& w, std::uint32_t count) {
+  if (count == 0) co_return;
+  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
+  w.bump(kQueueAtomics);
+  co_await w.atomic_add(completion_counter(), count);
+  w.device().protocol().complete(w, count, 0);
 }
 
 Kernel<void> DeviceQueue::report_complete_tickets(
@@ -268,6 +223,32 @@ std::uint64_t DeviceQueue::progress_signature(simt::Device& dev) const {
          u[kTokensEnqueued] + u[kEdgesRelaxed];
 }
 
+// ---- Shared dequeue phase 1 tail: claimed tickets become monitors ----
+
+void DeviceQueue::bind_claims(Wave& w, WaveQueueState& st, LaneMask lanes) {
+  for_lanes(lanes, [&](unsigned lane) {
+    const SlotRef ref = slot_of(st.ticket[lane]);
+    st.slot[lane] = ref.index;
+    st.epoch[lane] = ref.epoch;
+    st.assign_cycle[lane] = w.now();
+  });
+  st.assigned |= lanes;
+  st.hungry &= ~lanes;
+  w.device().protocol().claim(w, *this, lanes, st.ticket);
+}
+
+void DeviceQueue::bind_claim_run(Wave& w, WaveQueueState& st,
+                                 std::uint64_t first, std::uint64_t count) {
+  LaneMask lanes = 0;
+  for_lanes(st.hungry, [&](unsigned lane) {
+    if (count == 0) return;
+    st.ticket[lane] = first++;
+    lanes |= bit(lane);
+    --count;
+  });
+  bind_claims(w, st, lanes);
+}
+
 // ---- Shared enqueue tail: backpressured ring writes ----
 
 void DeviceQueue::park(Wave& w, WaveQueueState& st, std::uint64_t ticket,
@@ -278,23 +259,9 @@ void DeviceQueue::park(Wave& w, WaveQueueState& st, std::uint64_t ticket,
         "production while publishes are backpressured");
   }
   st.parked[st.n_parked++] = {ticket, token, w.now(), false, parent};
-  if (simt::OpHistory* hist = history_sink(w)) {
-    const SlotRef ref = slot_of(ticket);
-    hist->record({simt::QueueOp::kEnqueueReserve, w.slot_id(), ticket,
-                  ref.index, ref.epoch, token, w.now(), band_of(ticket)});
-  }
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // Ring log only: a fresh reservation is not yet a wait. The parked
-    // wait-table entry is recorded by stall_note() the first time this
-    // ticket survives a failed flush round.
-    rec->log_step(simt::FlightKind::kReserve, w.slot_id(), 0, ticket,
-                  band_of(ticket), w.now());
-  }
-  // The reservation is where a task's trace id is born: stamp it with
-  // the parent edge from the spawning task.
-  if (traceable_tickets()) {
-    trace_task(w, simt::TaskPhase::kReserve, ticket, token, parent);
-  }
+  // A fresh reservation is not yet a wait: stall_note() reports the ones
+  // that survive a failed flush round.
+  w.device().protocol().reserve(w, *this, ticket, token, parent);
   // Host-side spawn observer (the src/tasks engine's depth/credit
   // bookkeeping hooks in here): same birth instant, no simulated cost.
   if (st.on_reserve != nullptr) (*st.on_reserve)(ticket, token, parent);
@@ -305,20 +272,13 @@ bool DeviceQueue::stall_note(Wave& w, WaveQueueState& st, bool wrote_any) {
     st.stall_rounds = 0;
     return false;
   }
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // A reservation becomes a *wait* the first round it fails to flush:
-    // record the full event so the recorder's parked table picks it up
-    // (park() itself only ring-logged it). `since` is the first stalled
-    // round — exactly the quantity a deadlock post-mortem wants.
-    for (std::uint32_t i = 0; i < st.n_parked; ++i) {
-      if (!st.parked[i].stalled) {
-        rec->record({simt::FlightKind::kReserve, w.slot_id(), 0,
-                     st.parked[i].ticket, st.parked[i].token,
-                     band_of(st.parked[i].ticket), w.now()});
-      }
-    }
+  // A reservation becomes a wait the first round it fails to flush.
+  for (std::uint32_t i = 0; i < st.n_parked; ++i) {
+    if (st.parked[i].stalled) continue;
+    st.parked[i].stalled = true;
+    w.device().protocol().stall(w, *this, st.parked[i].ticket,
+                                st.parked[i].token);
   }
-  for (std::uint32_t i = 0; i < st.n_parked; ++i) st.parked[i].stalled = true;
   w.bump(kPublishStalls, st.n_parked);
 
   const std::uint64_t sig = progress_signature(w.device());
@@ -354,13 +314,15 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     const std::uint32_t n = std::min<std::uint32_t>(st.n_parked, kWaveWidth);
     LaneMask mask = 0;
     std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> want{}, full{};
+    std::array<std::uint64_t, kWaveWidth> want{}, full{}, ticket{}, token{};
     for (std::uint32_t i = 0; i < n; ++i) {
-      const SlotRef ref = slot_of(st.parked[i].ticket);
+      ticket[i] = st.parked[i].ticket;
+      token[i] = st.parked[i].token;
+      const SlotRef ref = slot_of(ticket[i]);
       mask |= bit(i);
       addrs[i] = layout_.slots.base + ref.index;
       want[i] = slot_empty_word(ref.epoch);
-      full[i] = slot_full_word(ref.epoch, st.parked[i].token);
+      full[i] = slot_full_word(ref.epoch, token[i]);
     }
     std::array<std::uint64_t, kWaveWidth> cur{};
     co_await w.load_lanes(mask, addrs, cur);
@@ -371,46 +333,16 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     }
     if (!writable) break;
 
-    if (simt::OpHistory* hist = history_sink(w)) {
-      // Recorded in the same event-processing slice as the stores below,
-      // so the write records land before any matching deliver record.
-      for_lanes(writable, [&](unsigned i) {
-        const SlotRef ref = slot_of(st.parked[i].ticket);
-        hist->record({simt::QueueOp::kEnqueueWrite, w.slot_id(),
-                      st.parked[i].ticket, ref.index, ref.epoch,
-                      st.parked[i].token, w.now(),
-                      band_of(st.parked[i].ticket)});
-      });
+    // Emitted in the same event-processing slice as the stores below,
+    // so the write records land before any matching deliver record.
+    // Stalled entries form a prefix of the parked array (stall_note
+    // marks every current entry; fresh parks append unmarked, and
+    // compaction preserves order): their writes retire a wait.
+    LaneMask waited = 0;
+    for (std::uint32_t i = 0; i < n && st.parked[i].stalled; ++i) {
+      waited |= bit(i);
     }
-    if (task_sink(w) != nullptr && traceable_tickets()) {
-      for_lanes(writable, [&](unsigned i) {
-        trace_task(w, simt::TaskPhase::kPayloadWrite, st.parked[i].ticket,
-                   st.parked[i].token);
-      });
-    }
-    if (simt::FlightRecorder* rec = recorder_sink(w)) {
-      // Stalled entries form a prefix of the parked array (stall_note
-      // marks every current entry; fresh parks append unmarked, and
-      // compaction preserves order). Those are in the recorder's parked
-      // wait table and need a full record to retire their entry; the
-      // never-stalled suffix takes one batched ring event.
-      LaneMask waited = 0;
-      for (std::uint32_t i = 0; i < n && st.parked[i].stalled; ++i) {
-        waited |= bit(i);
-      }
-      for_lanes(writable & waited, [&](unsigned i) {
-        rec->record({simt::FlightKind::kWrite, w.slot_id(), 0,
-                     st.parked[i].ticket, st.parked[i].token,
-                     band_of(st.parked[i].ticket), w.now()});
-      });
-      if (const LaneMask healthy = writable & ~waited) {
-        const unsigned i0 = static_cast<unsigned>(std::countr_zero(healthy));
-        rec->log_steps(simt::FlightKind::kWrite, w.slot_id(), 0,
-                       st.parked[i0].ticket, band_of(st.parked[i0].ticket),
-                       w.now(),
-                       static_cast<std::uint32_t>(std::popcount(healthy)));
-      }
-    }
+    w.device().protocol().write(w, *this, writable, waited, ticket, token);
     resident_ += static_cast<std::uint64_t>(std::popcount(writable));
     co_await w.store_lanes(writable, addrs, full);
     w.bump(kTokensEnqueued, static_cast<std::uint64_t>(std::popcount(writable)));
@@ -461,29 +393,7 @@ Kernel<void> RfanQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   // One non-failing AFA reserves n tickets for the whole wavefront.
   w.bump(kQueueAtomics);
   const simt::CasResult r = co_await w.atomic_add(layout_.front_addr(), n);
-
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // One AFA claimed n contiguous tickets: one batched ring event.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0, r.old_value, 0,
-                   w.now(), n);
-  }
-  unsigned k = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    const std::uint64_t ticket = r.old_value + k++;
-    const SlotRef ref = slot_of(ticket);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), ticket,
-                    ref.index, ref.epoch, 0, w.now()});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, ticket);
-  });
-  st.assigned |= st.hungry;
-  st.hungry = 0;
+  bind_claim_run(w, st, r.old_value, n);
   co_await w.compute(2);  // ticket -> (slot, epoch) conversion
 
   if (simt::Telemetry* probes = probe_sink(w)) {
@@ -521,17 +431,6 @@ Kernel<void> RfanQueue::publish(Wave& w, WaveQueueState& st) {
   co_await flush_parked(w, st);
   if (probes && total > 0) {
     probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
-}
-
-Kernel<void> RfanQueue::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(layout_.completed_addr(), count);
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    rec->record(
-        {simt::FlightKind::kComplete, w.slot_id(), 0, 0, count, 0, w.now()});
   }
 }
 
@@ -578,33 +477,8 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
     w.bump(kEmptyRetries, n);
     co_return;
   }
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // The capped CAS claimed `claimed` contiguous tickets: one batch.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0, r.old_value, 0,
-                   w.now(), static_cast<std::uint32_t>(claimed));
-  }
-  std::uint64_t ticket = r.old_value;
-  std::uint64_t left = claimed;
-  LaneMask served = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    if (left == 0) return;
-    const std::uint64_t t = ticket++;
-    const SlotRef ref = slot_of(t);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), t, ref.index,
-                    ref.epoch, 0, w.now()});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, t);
-    served |= bit(lane);
-    --left;
-  });
-  st.assigned |= served;
-  st.hungry &= ~served;
+  // The capped CAS claimed `claimed` contiguous tickets.
+  bind_claim_run(w, st, r.old_value, claimed);
   if (probes) {
     probes->histogram(tel::kAggWidthDequeue).add(claimed);
     probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
@@ -651,17 +525,6 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
   co_await flush_parked(w, st);
   if (probes && total > 0) {
     probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
-}
-
-Kernel<void> AnQueue::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(layout_.completed_addr(), count);
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    rec->record(
-        {simt::FlightKind::kComplete, w.slot_id(), 0, 0, count, 0, w.now()});
   }
 }
 
@@ -725,24 +588,8 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   w.bump(kEmptyRetries,
          static_cast<std::uint64_t>(std::popcount(trying & ~claimed)));
 
-  simt::OpHistory* hist = history_sink(w);
-  simt::FlightRecorder* rec = recorder_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  for_lanes(claimed, [&](unsigned lane) {
-    const SlotRef ref = slot_of(old[lane]);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), old[lane],
-                    ref.index, ref.epoch, 0, w.now()});
-    }
-    if (rec) {
-      rec->log_step(simt::FlightKind::kClaim, w.slot_id(), 0, old[lane], 0,
-                    w.now());
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, old[lane]);
-  });
+  for_lanes(claimed, [&](unsigned lane) { st.ticket[lane] = old[lane]; });
+  bind_claims(w, st, claimed);
   if (probes && claimed) {
     probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
   }
@@ -760,8 +607,6 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
       st.backoff_exp[lane] = 0;
     }
   });
-  st.assigned |= claimed;
-  st.hungry &= ~claimed;
 }
 
 Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
@@ -832,10 +677,12 @@ Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {
   if (count > kWaveWidth) ones[0] += count - kWaveWidth;
   w.bump(kQueueAtomics, lanes);
   co_await w.atomic_lanes(simt::AtomicKind::kAdd, mask, addrs, ones);
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    rec->record(
-        {simt::FlightKind::kComplete, w.slot_id(), 0, 0, count, 0, w.now()});
-  }
+  w.device().protocol().complete(w, count, 0);
+}
+
+void stamp_task_meta(simt::TaskTrace& trace, const DeviceQueue& queue) {
+  trace.set_meta("variant", std::string(to_string(queue.variant())));
+  trace.set_meta("capacity", std::to_string(queue.layout().capacity));
 }
 
 std::unique_ptr<DeviceQueue> make_queue_variant(QueueVariant variant,

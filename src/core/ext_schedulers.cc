@@ -5,7 +5,6 @@
 
 #include "core/bucketed_queue.h"
 #include "core/counters.h"
-#include "core/task_probes.h"
 
 namespace scq {
 
@@ -174,13 +173,6 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
   }
 }
 
-Kernel<void> LockedStack::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(layout_.completed_addr(), count);
-}
-
 void LockedStack::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
   if (tokens.size() > layout_.capacity) {
     throw simt::SimError("LockedStack: seed exceeds capacity");
@@ -260,34 +252,8 @@ Kernel<std::uint64_t> DistributedQueue::claim_from(Wave& w, WaveQueueState& st,
       n, snap[1] > r.old_value ? snap[1] - r.old_value : 0);
   if (claimed == 0) co_return std::uint64_t{0};
 
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // The bounded add claimed `claimed` contiguous tickets: one batch.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0,
-                   encode_ticket(q, r.old_value), 0, w.now(),
-                   static_cast<std::uint32_t>(claimed));
-  }
-  std::uint64_t local = r.old_value;
-  std::uint64_t left = claimed;
-  LaneMask served = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    if (left == 0) return;
-    const std::uint64_t ticket = encode_ticket(q, local++);
-    const SlotRef ref = slot_of(ticket);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), ticket,
-                    ref.index, ref.epoch, 0, w.now()});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, ticket);
-    served |= bit(lane);
-    --left;
-  });
-  st.assigned |= served;
-  st.hungry &= ~served;
+  // The bounded add claimed `claimed` contiguous tickets.
+  bind_claim_run(w, st, encode_ticket(q, r.old_value), claimed);
   co_return claimed;
 }
 
@@ -339,13 +305,6 @@ Kernel<void> DistributedQueue::publish(Wave& w, WaveQueueState& st) {
   co_await flush_parked(w, st);
 }
 
-Kernel<void> DistributedQueue::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(completed_of(), count);
-}
-
 Kernel<bool> DistributedQueue::all_done(Wave& w) {
   // One vector load over [rears..., completed]: K+1 contiguous words.
   // Rears count reservations, so parked tokens hold termination open.
@@ -378,9 +337,11 @@ void DistributedQueue::seed(simt::Device& dev,
   }
   dev.write_word(rear_of(0), tokens.size());
   resident_ = tokens.size();
-  // Sub-queue 0, local tickets 0..n-1: encode_ticket(0, i) == i, so the
-  // shared seed tracer's plain indices are already correct.
-  trace_seed_tasks(dev, *this, tokens);
+  // Sub-queue 0, local tickets 0..n-1: encode_ticket(0, i) == i.
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, i, tokens[i],
+                                dev.now());
+  }
 }
 
 // ---------------------------------------------------------------------

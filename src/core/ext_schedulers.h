@@ -39,7 +39,6 @@ class LockedStack final : public DeviceQueue {
   [[nodiscard]] bool traceable_tickets() const override { return false; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
   void seed(simt::Device& dev, std::span<const std::uint64_t> tokens) override;
   [[nodiscard]] std::uint64_t occupancy(const simt::Device& dev) const override {
     return dev.read_word(top_addr());  // LIFO: Top == resident tokens
@@ -73,7 +72,6 @@ class DistributedQueue final : public DeviceQueue {
   }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
   Kernel<bool> all_done(Wave& w) override;
   void seed(simt::Device& dev, std::span<const std::uint64_t> tokens) override;
   [[nodiscard]] std::uint64_t occupancy(const simt::Device& dev) const override {
@@ -89,7 +87,6 @@ class DistributedQueue final : public DeviceQueue {
   [[nodiscard]] std::uint32_t num_queues() const { return num_queues_; }
   [[nodiscard]] std::uint64_t per_queue_capacity() const { return per_queue_; }
 
- protected:
   // Tickets are encoded (sub-queue << kTokenBits) | local ticket; each
   // sub-queue is its own circular ring of per_queue_ slots.
   [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override {
@@ -97,11 +94,10 @@ class DistributedQueue final : public DeviceQueue {
     const std::uint64_t local = ticket & kMaxToken;
     return {q * per_queue_ + local % per_queue_, local / per_queue_};
   }
-  [[nodiscard]] std::uint64_t ticket_of(std::uint64_t slot,
-                                        std::uint64_t epoch) const override {
-    const std::uint64_t q = slot / per_queue_;
-    return encode_ticket(static_cast<std::uint32_t>(q),
-                         epoch * per_queue_ + slot % per_queue_);
+
+ protected:
+  [[nodiscard]] Addr completion_counter() const override {
+    return completed_of();
   }
   [[nodiscard]] std::uint64_t progress_signature(simt::Device& dev) const override;
 

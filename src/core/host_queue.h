@@ -24,7 +24,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -35,8 +34,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/op_history.h"
-#include "sim/task_trace.h"
+#include "sim/protocol_stream.h"
 
 namespace scq {
 
@@ -84,7 +82,7 @@ struct HostQueueStats {
 // HostBrokerQueue<T>: retry-free / arbitrary-n bounded MPMC.
 // ---------------------------------------------------------------------
 template <typename T>
-class HostBrokerQueue {
+class HostBrokerQueue : private simt::TicketSpace {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "queue payloads must be nothrow-movable");
 
@@ -112,20 +110,23 @@ class HostBrokerQueue {
   }
 
   // Optional operation-history recording for the fuzz checker (not
-  // owned; nullptr disables). Tickets are sequence numbers; payloads are
-  // recorded when T converts to uint64. Write records precede the
-  // release-store that publishes them and deliver records precede the
+  // owned; nullptr disables). Every step goes through the queue's own
+  // protocol stream as a host step. Tickets are sequence numbers;
+  // payloads are recorded when T converts to uint64. Write steps precede
+  // the release-store that publishes them and deliveries precede the
   // recycle store, so the history's (mutex-total) append order is
   // consistent with the happens-before order of the protocol.
-  void attach_history(simt::OpHistory* history) noexcept { history_ = history; }
+  void attach_history(simt::OpHistory* history) noexcept {
+    events_.attach_history(history);
+  }
 
   // Optional per-task lifecycle recording (not owned; nullptr disables).
   // Tickets are sequence numbers; the host has no simulated clock, so
   // event cycles are steady-clock nanoseconds since this attach — fine
   // for attribution ratios, not comparable across processes.
   void attach_task_trace(simt::TaskTrace* trace) noexcept {
-    task_trace_ = trace;
-    task_epoch_ = std::chrono::steady_clock::now();
+    events_.attach_task_trace(trace);
+    events_.trace_on_wall_clock();
   }
 
   // Signals shutdown: blocked enqueue/dequeue calls return false once
@@ -149,8 +150,7 @@ class HostBrokerQueue {
     const std::uint64_t first =
         tail_.fetch_add(items.size(), std::memory_order_relaxed);
     for (std::size_t i = 0; i < items.size(); ++i) {
-      record_op(simt::QueueOp::kEnqueueReserve, first + i,
-                history_payload(items[i]));
+      events_.reserve(kHost, *this, first + i, history_payload(items[i]));
     }
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (!publish_one(first + i, items[i])) {
@@ -173,7 +173,7 @@ class HostBrokerQueue {
     const std::uint64_t first =
         head_.fetch_add(out.size(), std::memory_order_relaxed);
     for (std::size_t i = 0; i < out.size(); ++i) {
-      record_op(simt::QueueOp::kDequeueClaim, first + i, 0);
+      events_.claim(kHost, *this, first + i);
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
       if (!consume_one(first + i, out[i])) return false;
@@ -210,7 +210,7 @@ class HostBrokerQueue {
     const std::uint64_t first =
         head_.fetch_add(count, std::memory_order_relaxed);
     for (std::uint32_t i = 0; i < count; ++i) {
-      record_op(simt::QueueOp::kDequeueClaim, first + i, 0);
+      events_.claim(kHost, *this, first + i);
     }
     return Ticket{first, count, 0};
   }
@@ -231,8 +231,7 @@ class HostBrokerQueue {
       }
       if (seq != seq_no + 1) break;
       out[got] = std::move(slot.value);
-      record_op(simt::QueueOp::kDequeueDeliver, seq_no,
-                history_payload(out[got]));
+      events_.deliver(kHost, *this, seq_no, history_payload(out[got]));
       ++got;
       slot.seq.store(seq_no + capacity(), std::memory_order_release);
       ++ticket.consumed;
@@ -252,9 +251,9 @@ class HostBrokerQueue {
       const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
       if (seq == t) {
         if (tail_.compare_exchange_weak(t, t + 1, std::memory_order_relaxed)) {
-          record_op(simt::QueueOp::kEnqueueReserve, t, history_payload(item));
+          events_.reserve(kHost, *this, t, history_payload(item));
           slot.value = item;
-          record_op(simt::QueueOp::kEnqueueWrite, t, history_payload(item));
+          events_.write(kHost, *this, t, history_payload(item));
           slot.seq.store(t + 1, std::memory_order_release);
           return true;
         }
@@ -274,9 +273,9 @@ class HostBrokerQueue {
       const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
       if (seq == h + 1) {
         if (head_.compare_exchange_weak(h, h + 1, std::memory_order_relaxed)) {
-          record_op(simt::QueueOp::kDequeueClaim, h, 0);
+          events_.claim(kHost, *this, h);
           T value = std::move(slot.value);
-          record_op(simt::QueueOp::kDequeueDeliver, h, history_payload(value));
+          events_.deliver(kHost, *this, h, history_payload(value));
           slot.seq.store(h + capacity(), std::memory_order_release);
           return value;
         }
@@ -302,7 +301,7 @@ class HostBrokerQueue {
       backoff.pause();
     }
     slot.value = item;
-    record_op(simt::QueueOp::kEnqueueWrite, seq_no, history_payload(item));
+    events_.write(kHost, *this, seq_no, history_payload(item));
     slot.seq.store(seq_no + 1, std::memory_order_release);
     return true;
   }
@@ -321,7 +320,7 @@ class HostBrokerQueue {
       backoff.pause();
     }
     out = std::move(slot.value);
-    record_op(simt::QueueOp::kDequeueDeliver, seq_no, history_payload(out));
+    events_.deliver(kHost, *this, seq_no, history_payload(out));
     slot.seq.store(seq_no + capacity(), std::memory_order_release);
     return true;
   }
@@ -334,33 +333,12 @@ class HostBrokerQueue {
     }
   }
 
-  static constexpr simt::TaskPhase task_phase_of(simt::QueueOp op) noexcept {
-    switch (op) {
-      case simt::QueueOp::kEnqueueReserve:
-        return simt::TaskPhase::kReserve;
-      case simt::QueueOp::kEnqueueWrite:
-        return simt::TaskPhase::kPayloadWrite;
-      case simt::QueueOp::kDequeueClaim:
-        return simt::TaskPhase::kClaim;
-      case simt::QueueOp::kDequeueDeliver:
-      default:
-        return simt::TaskPhase::kArrival;
-    }
-  }
+  // Host steps carry no clock (history cycle 0); the task trace stamps
+  // its own wall clock.
+  static constexpr simt::StepActor kHost = simt::StepActor::host(0);
 
-  void record_op(simt::QueueOp op, std::uint64_t seq_no,
-                 std::uint64_t payload) const {
-    if (history_ != nullptr) {
-      history_->record({op, simt::kHostActor, seq_no, seq_no & mask_,
-                        seq_no / capacity(), payload, 0});
-    }
-    if (task_trace_ != nullptr) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - task_epoch_);
-      task_trace_->record({task_phase_of(op), seq_no, simt::kNoTask, payload,
-                           simt::kHostActor, 0,
-                           static_cast<simt::Cycle>(ns.count())});
-    }
+  [[nodiscard]] simt::SlotRef slot_of(std::uint64_t seq_no) const override {
+    return {seq_no & mask_, seq_no / capacity()};
   }
 
   // Called by a close()-interrupted enqueue_batch for its unpublished
@@ -381,9 +359,7 @@ class HostBrokerQueue {
 
   const std::uint64_t mask_;
   std::vector<Slot> slots_;
-  simt::OpHistory* history_ = nullptr;
-  simt::TaskTrace* task_trace_ = nullptr;
-  std::chrono::steady_clock::time_point task_epoch_{};
+  simt::ProtocolStream events_;
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
   alignas(kCacheLine) std::atomic<bool> closed_{false};

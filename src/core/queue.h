@@ -43,6 +43,7 @@ namespace scq {
 using simt::Addr;
 using simt::Kernel;
 using simt::LaneMask;
+using simt::SlotRef;
 using simt::Wave;
 using simt::bit;
 using simt::for_lanes;
@@ -117,20 +118,6 @@ struct QueueLayout {
 // and never simulated cycles).
 inline simt::Telemetry* probe_sink(Wave& w) { return w.device().telemetry(); }
 
-// Operation-history sink for the fuzz checker: the device's attached
-// OpHistory, or nullptr (recording then costs one branch). Records are
-// appended within the same event-processing slice as the memory effect
-// they describe, so append order is consistent with protocol order.
-inline simt::OpHistory* history_sink(Wave& w) { return w.device().op_history(); }
-
-// Flight-recorder sink for black-box dumps: the device's attached
-// FlightRecorder, or nullptr (recording then costs one branch). Fed at
-// the same sites as the operation history, so the recorder's last-N
-// window is protocol-ordered too.
-inline simt::FlightRecorder* recorder_sink(Wave& w) {
-  return w.device().flight_recorder();
-}
-
 // Allocates and initializes a device queue (host side, pre-launch §3.1).
 QueueLayout make_device_queue(simt::Device& dev, std::uint64_t capacity);
 
@@ -158,15 +145,16 @@ struct WaveQueueState {
   // Dequeue side.
   LaneMask hungry = 0;    // lanes that want a slot assignment
   LaneMask assigned = 0;  // lanes monitoring a slot for data arrival
-  std::array<std::uint64_t, kWaveWidth> slot{};   // ring slot index per lane
-  std::array<std::uint64_t, kWaveWidth> epoch{};  // expected ring epoch per lane
+  std::array<std::uint64_t, kWaveWidth> ticket{};  // claimed ticket per lane
+  std::array<std::uint64_t, kWaveWidth> slot{};    // its ring slot index
+  std::array<std::uint64_t, kWaveWidth> epoch{};   // its expected ring epoch
   // Cycle at which each lane's slot was assigned (telemetry: the slot-
   // monitor wait histogram measures assignment -> sentinel clearing).
   std::array<simt::Cycle, kWaveWidth> assign_cycle{};
-  // Lanes whose current claim has missed at least one arrival poll and
-  // has therefore been entered into the flight recorder's monitor wait
-  // table (check_arrival records the transition exactly once; delivery
-  // clears the bit after retiring the table entry).
+  // Lanes whose current claim has missed at least one arrival poll: the
+  // protocol stream's poll step keeps it for the flight recorder's
+  // monitor wait table (the first miss enters the table, the delivery
+  // retires the entry).
   LaneMask miss_noted = 0;
 
   // Eager delivery: schedulers that read payloads during acquisition
@@ -287,8 +275,13 @@ enum class QueueVariant {
 [[nodiscard]] std::string_view to_string(QueueVariant v);
 
 // Interface shared by the three variants so driver kernels (BFS) are
-// variant-agnostic.
-class DeviceQueue {
+// variant-agnostic. As a simt::TicketSpace it tells the protocol
+// stream's views where each ticket lives: slot_of places a ticket in
+// the ring, band_of names its priority band (the banded multi-queue
+// overrides it), and traceable_tickets says whether tickets can serve
+// as task-trace ids (the locked stack reuses LIFO indices and
+// overrides it to false).
+class DeviceQueue : public simt::TicketSpace {
  public:
   explicit DeviceQueue(QueueLayout layout) : layout_(layout) {}
   virtual ~DeviceQueue() = default;
@@ -312,8 +305,11 @@ class DeviceQueue {
   // st.has_parked() clears.
   virtual Kernel<void> publish(Wave& w, WaveQueueState& st) = 0;
 
-  // Reports `count` tasks finished (drives termination detection).
-  virtual Kernel<void> report_complete(Wave& w, std::uint32_t count) = 0;
+  // Reports `count` tasks finished (drives termination detection). The
+  // default is the arbitrary-n designs' proxy-aggregated path: the proxy
+  // sums the wave's completions in LDS and issues one atomic add on
+  // completion_counter().
+  virtual Kernel<void> report_complete(Wave& w, std::uint32_t count);
 
   // Per-ticket completion reporting. Single-band queues only need the
   // count (the default forwards, same simulated cost); the banded
@@ -370,21 +366,19 @@ class DeviceQueue {
 
   [[nodiscard]] const QueueLayout& layout() const { return layout_; }
 
-  // True when tickets are globally unique for the life of a run and can
-  // therefore serve as task-trace ids (BASE/AN/RF-AN: unbounded
-  // counters; DISTRIB: sub-queue-encoded counters). The locked stack
-  // reuses LIFO indices and overrides to false — it records no task
-  // events.
-  [[nodiscard]] virtual bool traceable_tickets() const { return true; }
-
-  // Priority-band introspection. Single-band queues report one band and
-  // map every ticket to it; BucketedMultiQueue overrides all three.
-  // band_of decodes host-side (no simulated cost) — op-history records
-  // and telemetry are its only consumers.
-  [[nodiscard]] virtual std::uint32_t num_bands() const { return 1; }
-  [[nodiscard]] virtual std::uint64_t band_of(std::uint64_t /*ticket*/) const {
-    return 0;
+  // Ring placement of a Rear/Front ticket. The default is the single
+  // shared ring; DistributedQueue and BucketedMultiQueue override to
+  // decode their sub-queue / band encodings. The locked stack's tickets
+  // are raw indices below capacity, so the default maps them to epoch 0
+  // unchanged.
+  [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override {
+    return {ticket % layout_.capacity, ticket / layout_.capacity};
   }
+
+  // Priority-band introspection. Single-band queues report one band
+  // (and inherit band_of's band 0); BucketedMultiQueue overrides all
+  // three.
+  [[nodiscard]] virtual std::uint32_t num_bands() const { return 1; }
   // Host-side backlog of one band (reserved-but-unclaimed tickets),
   // for the per-band telemetry gauges.
   [[nodiscard]] virtual std::uint64_t band_occupancy(const simt::Device& dev,
@@ -399,25 +393,21 @@ class DeviceQueue {
   [[nodiscard]] virtual QueueSnapshot snapshot(const simt::Device& dev) const;
 
  protected:
-  // Ring placement of a Rear/Front ticket. The default is the single
-  // shared ring; DistributedQueue overrides to decode its per-CU
-  // sub-queue encoding. The locked stack's tickets are raw indices
-  // below capacity, so the default maps them to epoch 0 unchanged.
-  struct SlotRef {
-    std::uint64_t index = 0;  // absolute index into layout_.slots
-    std::uint64_t epoch = 0;  // ring epoch (wrap count)
-  };
-  [[nodiscard]] virtual SlotRef slot_of(std::uint64_t ticket) const {
-    return {ticket % layout_.capacity, ticket / layout_.capacity};
+  // The counter report_complete's default adds to: Completed of the
+  // shared control block (DistributedQueue keeps its own).
+  [[nodiscard]] virtual Addr completion_counter() const {
+    return layout_.completed_addr();
   }
 
-  // Inverse of slot_of: the ticket that maps to (slot index, epoch).
-  // Used by check_arrival to reconstruct the delivered ticket for the
-  // operation history; overridden alongside slot_of.
-  [[nodiscard]] virtual std::uint64_t ticket_of(std::uint64_t slot,
-                                                std::uint64_t epoch) const {
-    return epoch * layout_.capacity + slot;
-  }
+  // Claim bookkeeping shared by every ring scheduler: each lane of
+  // `lanes` monitors the ticket the caller left in st.ticket[lane] (its
+  // slot and epoch, claimed now) and leaves the hungry set, and the
+  // claim enters the protocol stream.
+  void bind_claims(Wave& w, WaveQueueState& st, LaneMask lanes);
+  // One proxy claim of `count` contiguous tickets from `first`: the
+  // first `count` hungry lanes take them in lane order.
+  void bind_claim_run(Wave& w, WaveQueueState& st, std::uint64_t first,
+                      std::uint64_t count);
 
   // Residency accounting behind resident_tokens: bumped where slot-full
   // words are stored (flush_parked, seeding) and debited where arrived
@@ -435,10 +425,9 @@ class DeviceQueue {
 
   // Appends (ticket, token) to st.parked (throws SimError past
   // kMaxParked — the engine's production throttle makes that
-  // unreachable) and records the ticket reservation in the attached
-  // operation history and task trace. `parent` is the spawning task's
-  // trace id: reservation is where a task's identity is born, so the
-  // causal edge is stamped here.
+  // unreachable) and emits the reservation step. `parent` is the
+  // spawning task's trace id: reservation is where a task's identity is
+  // born, so the causal edge is stamped here.
   void park(Wave& w, WaveQueueState& st, std::uint64_t ticket,
             std::uint64_t token, std::uint64_t parent = kNoTask);
 
@@ -474,7 +463,6 @@ class RfanQueue final : public DeviceQueue {
   [[nodiscard]] QueueVariant variant() const override { return QueueVariant::kRfan; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
 };
 
 class AnQueue final : public DeviceQueue {
@@ -483,7 +471,6 @@ class AnQueue final : public DeviceQueue {
   [[nodiscard]] QueueVariant variant() const override { return QueueVariant::kAn; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
 };
 
 class BaseQueue final : public DeviceQueue {
@@ -497,5 +484,9 @@ class BaseQueue final : public DeviceQueue {
 
 std::unique_ptr<DeviceQueue> make_queue_variant(QueueVariant variant,
                                                 QueueLayout layout);
+
+// Stamps run-identifying metadata (queue variant, capacity) into a task
+// trace; drivers call it once per attach.
+void stamp_task_meta(simt::TaskTrace& trace, const DeviceQueue& queue);
 
 }  // namespace scq

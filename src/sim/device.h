@@ -12,13 +12,11 @@
 
 #include "sim/config.h"
 #include "sim/event_queue.h"
-#include "sim/flight_recorder.h"
 #include "sim/memory.h"
-#include "sim/op_history.h"
+#include "sim/protocol_stream.h"
 #include "sim/sched_policy.h"
 #include "sim/sim_profiler.h"
 #include "sim/stats.h"
-#include "sim/task_trace.h"
 #include "sim/telemetry.h"
 #include "sim/trace.h"
 #include "sim/wave.h"
@@ -115,26 +113,28 @@ class Device {
   // histograms through this accessor.
   void attach_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
   [[nodiscard]] Telemetry* telemetry() { return telemetry_; }
-  // Optional operation-history recording (not owned; nullptr disables).
-  // Queue implementations feed it; the fuzz checker consumes it.
-  void attach_op_history(OpHistory* history) { op_history_ = history; }
-  [[nodiscard]] OpHistory* op_history() { return op_history_; }
-  // Optional per-task causal tracing (not owned; nullptr disables).
-  // Queues and drivers feed it; sim/critical_path.h consumes it.
-  void attach_task_trace(TaskTrace* trace) { task_trace_ = trace; }
-  [[nodiscard]] TaskTrace* task_trace() { return task_trace_; }
   // Optional simulator self-profiling (not owned; nullptr disables):
   // host wall-clock attribution of the event loop itself. Counts every
   // wave op; times 1-in-2^k loop iterations (sim/sim_profiler.h).
   void attach_profiler(SimProfiler* profiler) { profiler_ = profiler; }
   [[nodiscard]] SimProfiler* profiler() { return profiler_; }
-  // Optional black-box flight recording (not owned; nullptr disables).
-  // Queues, transfer rings and the router feed it; the black-box dump
-  // (core/black_box.h) snapshots it on abort paths.
-  void attach_flight_recorder(FlightRecorder* recorder) {
-    flight_recorder_ = recorder;
+  // The device's queue-protocol event stream (sim/protocol_stream.h):
+  // queues, transfer rings, the router and the task-engine clients emit
+  // every protocol step into it. Its three views are optional (not
+  // owned; nullptr disables): the operation history the fuzz checker
+  // consumes, the per-task causal trace sim/critical_path.h consumes,
+  // and the black-box flight recorder (core/black_box.h snapshots it on
+  // abort paths).
+  [[nodiscard]] ProtocolStream& protocol() { return protocol_; }
+  void attach_op_history(OpHistory* history) {
+    protocol_.attach_history(history);
   }
-  [[nodiscard]] FlightRecorder* flight_recorder() { return flight_recorder_; }
+  void attach_task_trace(TaskTrace* trace) {
+    protocol_.attach_task_trace(trace);
+  }
+  void attach_flight_recorder(FlightRecorder* recorder) {
+    protocol_.attach_recorder(recorder);
+  }
   // Seeded schedule perturbation (identity when sched_seed == 0).
   [[nodiscard]] SchedulePolicy& sched() { return sched_; }
   void request_abort(std::string reason);
@@ -154,10 +154,8 @@ class Device {
   Cycle now_ = 0;
   TraceRecorder* tracer_ = nullptr;
   Telemetry* telemetry_ = nullptr;
-  OpHistory* op_history_ = nullptr;
-  TaskTrace* task_trace_ = nullptr;
   SimProfiler* profiler_ = nullptr;
-  FlightRecorder* flight_recorder_ = nullptr;
+  ProtocolStream protocol_;
   SchedulePolicy sched_;
 
   std::vector<ComputeUnit> cus_;

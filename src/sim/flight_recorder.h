@@ -1,5 +1,5 @@
-// Black-box flight recording: the sixth observability sibling (tracer,
-// telemetry, op-history, task trace, profiler — and now the recorder).
+// Black-box flight recording: one of the three views of the
+// queue-protocol event stream (sim/protocol_stream.h).
 //
 // A FlightRecorder keeps a bounded ring of the most recent scheduler /
 // queue events — ticket reservations, ring writes, dequeue claims,
@@ -28,15 +28,16 @@
 // material: the post-mortem analyzer (util/postmortem.h) joins parked
 // reservations against the monitors of the tickets that block them.
 //
-// Cost discipline (the recorder is attached to every run): the queues
-// feed the healthy path through log_step(), which coalesces one wave's
-// per-lane protocol steps into a single ring event and never touches
-// the wait tables. Full record() calls — which do maintain the tables —
-// happen only at wait *transitions*: a reservation's first stalled
-// flush round, a claim's first missed poll, and the write/deliver that
-// finally retires a waited ticket. Healthy tokens therefore cost a few
-// ns of ring logging each; only actual waits pay for table upkeep, and
-// the tables hold exactly the state a deadlock analysis needs.
+// Cost discipline (the recorder is attached to every run): the protocol
+// stream feeds the healthy path through log_steps(), which coalesces
+// one wave's per-lane protocol steps into a single ring event and never
+// touches the wait tables. Full record() calls — which do maintain the
+// tables — happen only at wait *transitions*: a reservation's first
+// stalled flush round, a claim's first missed poll, and the
+// write/deliver that finally retires a waited ticket. Healthy tokens
+// therefore cost a few ns of ring logging each; only actual waits pay
+// for table upkeep, and the tables hold exactly the state a deadlock
+// analysis needs.
 //
 // Determinism: events are recorded within the same event-processing
 // slice as the simulated memory effect they describe, the ring and the
@@ -119,13 +120,13 @@ class FlightRecorder {
   // recorders.
   void record(const FlightEvent& e);
 
-  // Coalescing fast path for the per-lane protocol feeds (the always-on
-  // hot sites: reserve/write/claim/deliver). Consecutive steps with the
+  // Coalescing fast path for the per-lane protocol steps (the always-on
+  // hot steps: reserve/write/claim/deliver). Consecutive steps with the
   // same (kind, actor, unit, cycle) — one wave's batch within one
   // event-processing slice — fold into a single ring event whose ticket
   // and band are the first lane's and whose payload is the batch width.
-  // The wait tables are NOT touched: feed sites record() full events at
-  // wait transitions instead (see the header comment).
+  // The wait tables are NOT touched: the protocol stream record()s full
+  // events at wait transitions instead (see the header comment).
   //
   // Lock-free by design (the budget is a few ns per lane): log_step
   // must only be called from the thread driving the simulator. The
@@ -137,10 +138,10 @@ class FlightRecorder {
     log_steps(kind, actor, unit, ticket, band, cycle, 1);
   }
 
-  // Width-aware variant for feed sites that know the whole batch up
-  // front (e.g. a wave claiming `width` contiguous tickets with one
-  // AFA): one call logs the entire batch, so the recorder costs one
-  // branch per wave instead of one call per lane.
+  // Width-aware variant for steps that carry the whole batch (e.g. a
+  // wave claiming `width` contiguous tickets with one AFA): one call logs
+  // the entire batch, so the recorder costs one branch per wave instead
+  // of one call per lane.
   void log_steps(FlightKind kind, std::uint32_t actor, std::uint32_t unit,
                  std::uint64_t ticket, std::uint64_t band, Cycle cycle,
                  std::uint32_t width) {

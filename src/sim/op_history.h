@@ -1,12 +1,13 @@
 // Operation-history recording for queue correctness checking.
 //
-// OpHistory is the third observability sibling (tracer, telemetry,
-// history): an append-only log of every queue operation — ticket
-// reservations, ring writes, dequeue claims, deliveries — that the
-// schedule-fuzzing checker (tests/support/queue_checker.h) replays
-// against the sequential FIFO spec. Queue implementations record into
-// the device's attached history (nullptr disables, costing one branch);
-// the host broker queue records directly under its own attachment.
+// OpHistory is one of the three views of the queue-protocol event
+// stream (sim/protocol_stream.h): an append-only log of every queue
+// operation — ticket reservations, ring writes, dequeue claims,
+// deliveries, band closes — that the schedule-fuzzing checker
+// (tests/support/queue_checker.h) replays against the sequential FIFO
+// spec. The device's stream appends to the attached history (nullptr
+// disables, costing one branch); the host broker queue's own stream
+// does the same from real threads.
 //
 // Records are appended at the instant the corresponding simulated
 // memory effect is applied (for device queues: within the same event

@@ -1,13 +1,13 @@
-// Per-task causal lifecycle tracing: the fourth observability sibling
-// (tracer, telemetry, op-history, task trace).
+// Per-task causal lifecycle tracing: one of the three views of the
+// queue-protocol event stream (sim/protocol_stream.h).
 //
 // Every task token gets a trace id the moment its enqueue ticket is
 // reserved — for the BASE/AN/RF-AN rings and the distributed queue the
 // ticket itself is that id: tickets are unbounded counters, so they are
 // globally unique for the life of a run (the locked stack reuses LIFO
 // indices and is therefore not traceable; it records nothing). The
-// queues, drivers, and the host broker queue append timestamped
-// lifecycle events:
+// stream appends timestamped lifecycle events for the protocol steps
+// the queues, the host broker queue and the task-engine clients emit:
 //
 //   kReserve       enqueue ticket reserved (carries the parent edge:
 //                  the task whose execution spawned this token)

@@ -1,7 +1,6 @@
 #include "tasks/attempts.h"
 
 #include "core/black_box.h"
-#include "core/task_probes.h"
 #include "core/telemetry_probes.h"
 
 namespace scq::tasks {

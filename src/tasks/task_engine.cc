@@ -9,7 +9,6 @@
 #include "core/bucketed_queue.h"
 #include "core/counters.h"
 #include "core/ext_schedulers.h"
-#include "core/task_probes.h"
 #include "core/telemetry_probes.h"
 
 namespace scq::tasks {
@@ -305,7 +304,7 @@ class HostTaskClient final : public TaskWaveClient {
 
   Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
                              LaneMask run) override {
-    const bool traced = task_sink(w) != nullptr;
+    simt::ProtocolStream& events = w.device().protocol();
     LaneMask done = 0;
     LaneMask executed = 0;
     for_lanes(run, [&](unsigned lane) {
@@ -316,23 +315,17 @@ class HostTaskClient final : public TaskWaveClient {
         if (stash_[lane].empty()) done |= bit(lane);
         return;
       }
-      if (traced) {
-        trace_task(w, simt::TaskPhase::kExecStart, ticket_[lane],
-                   token_[lane]);
-      }
+      events.exec_start(w, ticket_[lane], token_[lane]);
       run_task(lane, st);
       executed |= bit(lane);
       if (stash_[lane].empty()) done |= bit(lane);
     });
     shared_.observe_frontier();
     if (executed) co_await w.compute(shared_.opt().task_compute);
-    if (traced) {
-      // Stamped after the compute await, so exec-end lands at the cycle
-      // the batch actually retired.
-      for_lanes(executed, [&](unsigned lane) {
-        trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
-      });
-    }
+    // Stamped after the compute await, so exec-end lands at the cycle
+    // the batch actually retired.
+    for_lanes(executed,
+              [&](unsigned lane) { events.exec_end(w, ticket_[lane]); });
     co_return done;
   }
 

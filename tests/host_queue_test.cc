@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -84,6 +86,78 @@ TEST(HostBrokerQueueTest, ClaimPollMonitorsArrival) {
   EXPECT_TRUE(ticket.done());
   EXPECT_EQ(out[1], 8);
   EXPECT_EQ(out[2], 9);
+}
+
+// Every queue step reaches the op history and the task trace once per
+// ticket, as a host step: actor kHostActor, slot t % capacity and epoch
+// t / capacity in the history (cycle 0: the host has no clock), and
+// steady-clock stamps that never run backwards in the trace.
+TEST(HostBrokerQueueTest, HistoryAndTaskTraceRecordEveryStepOnce) {
+  HostBrokerQueue<std::uint64_t> q(8);
+  simt::OpHistory history;
+  simt::TaskTrace trace;
+  q.attach_history(&history);
+  q.attach_task_trace(&trace);
+  const std::vector<std::uint64_t> items = {10, 11, 12};
+  ASSERT_TRUE(q.enqueue_batch(items));
+  std::vector<std::uint64_t> out(2);
+  ASSERT_TRUE(q.dequeue_batch(out));
+  auto ticket = q.claim_slots(1);
+  std::uint64_t one = 0;
+  ASSERT_EQ(q.poll(ticket, std::span<std::uint64_t>(&one, 1)), 1u);
+  ASSERT_TRUE(q.try_enqueue(13));
+  ASSERT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(13));
+
+  using simt::QueueOp;
+  using simt::TaskPhase;
+  struct Step {
+    QueueOp op;
+    TaskPhase phase;
+    std::uint64_t ticket;
+    std::uint64_t payload;
+  };
+  const std::vector<Step> want = {
+      {QueueOp::kEnqueueReserve, TaskPhase::kReserve, 0, 10},
+      {QueueOp::kEnqueueReserve, TaskPhase::kReserve, 1, 11},
+      {QueueOp::kEnqueueReserve, TaskPhase::kReserve, 2, 12},
+      {QueueOp::kEnqueueWrite, TaskPhase::kPayloadWrite, 0, 10},
+      {QueueOp::kEnqueueWrite, TaskPhase::kPayloadWrite, 1, 11},
+      {QueueOp::kEnqueueWrite, TaskPhase::kPayloadWrite, 2, 12},
+      {QueueOp::kDequeueClaim, TaskPhase::kClaim, 0, 0},
+      {QueueOp::kDequeueClaim, TaskPhase::kClaim, 1, 0},
+      {QueueOp::kDequeueDeliver, TaskPhase::kArrival, 0, 10},
+      {QueueOp::kDequeueDeliver, TaskPhase::kArrival, 1, 11},
+      {QueueOp::kDequeueClaim, TaskPhase::kClaim, 2, 0},
+      {QueueOp::kDequeueDeliver, TaskPhase::kArrival, 2, 12},
+      {QueueOp::kEnqueueReserve, TaskPhase::kReserve, 3, 13},
+      {QueueOp::kEnqueueWrite, TaskPhase::kPayloadWrite, 3, 13},
+      {QueueOp::kDequeueClaim, TaskPhase::kClaim, 3, 0},
+      {QueueOp::kDequeueDeliver, TaskPhase::kArrival, 3, 13},
+  };
+  const std::vector<simt::OpRecord> records = history.snapshot();
+  const std::vector<simt::TaskEvent> events = trace.snapshot();
+  ASSERT_EQ(records.size(), want.size());
+  ASSERT_EQ(events.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(records[i].op, want[i].op);
+    EXPECT_EQ(records[i].actor, simt::kHostActor);
+    EXPECT_EQ(records[i].ticket, want[i].ticket);
+    EXPECT_EQ(records[i].slot, want[i].ticket % 8);
+    EXPECT_EQ(records[i].epoch, want[i].ticket / 8);
+    EXPECT_EQ(records[i].payload, want[i].payload);
+    EXPECT_EQ(records[i].cycle, 0u);
+    EXPECT_EQ(records[i].band, 0u);
+    EXPECT_EQ(events[i].phase, want[i].phase);
+    EXPECT_EQ(events[i].ticket, want[i].ticket);
+    EXPECT_EQ(events[i].parent, simt::kNoTask);
+    EXPECT_EQ(events[i].payload, want[i].payload);
+    EXPECT_EQ(events[i].actor, simt::kHostActor);
+    EXPECT_EQ(events[i].cu, 0u);
+    if (i > 0) {
+      EXPECT_GE(events[i].cycle, events[i - 1].cycle);
+    }
+  }
 }
 
 TEST(HostBrokerQueueTest, CloseWakesBlockedDequeue) {

@@ -75,7 +75,8 @@ std::string FuzzOutcome::describe(const SimFuzzCase& c) const {
 }
 
 FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
-                              std::vector<simt::OpRecord>* raw_history) {
+                              std::vector<simt::OpRecord>* raw_history,
+                              CaseViews* views) {
   simt::DeviceConfig cfg;
   cfg.name = "fuzz";
   cfg.num_cus = 2;
@@ -91,6 +92,7 @@ FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
   dev.attach_op_history(&history);
   simt::FlightRecorder recorder;
   dev.attach_flight_recorder(&recorder);
+  if (views != nullptr) dev.attach_task_trace(&views->task_trace);
 
   std::unique_ptr<DeviceQueue> queue;
   std::uint64_t mq_bands = 1;
@@ -221,6 +223,10 @@ FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
   out.check = check_history(records, check_opt);
   out.history_records = records.size();
   if (raw_history != nullptr) *raw_history = records;
+  if (views != nullptr) {
+    views->recorder_json = recorder.to_json();
+    views->recorder_events = recorder.snapshot();
+  }
   if (!out.ok()) {
     // Every failed case ships its black box: the dump is what
     // bench/postmortem consumes when a sweep or CI run goes red.

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/queue.h"
 #include "sim/device.h"
@@ -69,11 +70,22 @@ struct FuzzOutcome {
   [[nodiscard]] std::string describe(const SimFuzzCase& c) const;
 };
 
+// The other two protocol views of a sim case, for tests that pin them:
+// the case runs with `task_trace` attached, and the flight recorder's
+// document and surviving events are copied out after the run.
+struct CaseViews {
+  simt::TaskTrace task_trace;
+  std::string recorder_json;
+  std::vector<simt::FlightEvent> recorder_events;
+};
+
 // raw_history (optional) receives the recorded OpHistory snapshot —
 // used by tests that tamper with a real history to prove the checker
-// catches injected mutations.
+// catches injected mutations. views (optional) captures the task trace
+// and the flight recorder.
 [[nodiscard]] FuzzOutcome run_sim_fuzz_case(
-    const SimFuzzCase& c, std::vector<simt::OpRecord>* raw_history = nullptr);
+    const SimFuzzCase& c, std::vector<simt::OpRecord>* raw_history = nullptr,
+    CaseViews* views = nullptr);
 
 struct HostFuzzCase {
   std::uint64_t seed = 1;
