@@ -109,13 +109,10 @@ inline unsigned sweep_threads(const util::ArgParser& args, std::size_t points,
 // ---- Observability (--telemetry / --trace / --task-trace / --report) ----
 //
 // Every harness takes the same flags:
-//   --telemetry out.json     telemetry artifact (plus out.hist.csv,
-//                            out.series.csv and out.windows.csv
-//                            siblings for plotting)
-//   --telemetry-period N     cycles between time-series samples
-//                            (must be >= 1; rejected otherwise)
+//   --telemetry out.json     telemetry artifact (plus out.hist.csv and
+//                            out.windows.csv siblings for plotting)
 //   --window-cycles N        width of one windowed-series aggregation
-//                            window in cycles
+//                            window in cycles (must be >= 1)
 //   --trace out.json         Chrome/Perfetto trace of the run
 //   --task-trace out.json    per-task lifecycle trace of the last run,
 //                            plus attribution/critical-path console
@@ -132,18 +129,16 @@ inline unsigned sweep_threads(const util::ArgParser& args, std::size_t points,
 //   --diff-abs-tolerance A   allowed absolute increase for metrics
 //                            whose baseline value is zero
 //
-// Telemetry histograms and series accumulate over every run the bench
-// executes (each run restarts its cycle clock at 0, so a sweep's series
-// concatenates per-run segments); the trace and the task trace hold the
+// Telemetry histograms and windows accumulate over every run the bench
+// executes (each run restarts its cycle clock at 0, so a sweep's windows
+// concatenate per-run segments); the trace and the task trace hold the
 // last run only, while attribution tables accumulate per variant label.
 
 inline void add_observability_flags(util::ArgParser& args) {
   args.add_string("telemetry",
-                  "write telemetry JSON here (+ .hist.csv/.series.csv/"
-                  ".windows.csv siblings)",
+                  "write telemetry JSON here (+ .hist.csv/.windows.csv "
+                  "siblings)",
                   "");
-  args.add_int("telemetry-period",
-               "cycles between telemetry samples (>= 1)", 2048);
   args.add_int("window-cycles",
                "windowed-series aggregation window width in cycles (>= 1)",
                4096);
@@ -181,7 +176,8 @@ class Observability {
  public:
   explicit Observability(const util::ArgParser& args,
                          std::string bench_name = "bench")
-      : bench_name_(std::move(bench_name)),
+      : telemetry_(telemetry_options(args)),
+        bench_name_(std::move(bench_name)),
         telemetry_path_(args.get_string("telemetry")),
         trace_path_(args.get_string("trace")),
         task_trace_path_(args.get_string("task-trace")),
@@ -194,24 +190,6 @@ class Observability {
             std::max<std::int64_t>(0, args.get_int("sim-seed")))),
         sim_jitter_(static_cast<simt::Cycle>(
             std::max<std::int64_t>(0, args.get_int("sim-jitter")))) {
-    // A sampler period of 0 would divide the run into nothing; reject
-    // loudly instead of silently clamping (usage error, exit 2).
-    if (args.get_int("telemetry-period") <= 0) {
-      std::fprintf(stderr,
-                   "error: --telemetry-period must be >= 1 (got %lld)\n",
-                   static_cast<long long>(args.get_int("telemetry-period")));
-      std::exit(2);
-    }
-    if (args.get_int("window-cycles") <= 0) {
-      std::fprintf(stderr, "error: --window-cycles must be >= 1 (got %lld)\n",
-                   static_cast<long long>(args.get_int("window-cycles")));
-      std::exit(2);
-    }
-    simt::Telemetry::Options topt;
-    topt.sample_period =
-        static_cast<simt::Cycle>(args.get_int("telemetry-period"));
-    topt.window_cycles = static_cast<simt::Cycle>(args.get_int("window-cycles"));
-    telemetry_ = simt::Telemetry(topt);
     // Stamp the schedule configuration into every artifact so a capture
     // always identifies the (seed, jitter) that produced it.
     telemetry_.set_meta("sim_seed", std::to_string(sim_seed_));
@@ -292,17 +270,6 @@ class Observability {
     config.sched_seed = sim_seed_;
     config.sched_mem_jitter = sim_jitter_;
     config.sched_atomic_jitter = sim_jitter_;
-    if (enabled() &&
-        telemetry_.options().sample_period > config.max_cycles_per_launch) {
-      std::fprintf(stderr,
-                   "warning: --telemetry-period %llu exceeds the device's "
-                   "max_cycles_per_launch %llu — the sampler will never "
-                   "tick\n",
-                   static_cast<unsigned long long>(
-                       telemetry_.options().sample_period),
-                   static_cast<unsigned long long>(
-                       config.max_cycles_per_launch));
-    }
     return config;
   }
 
@@ -359,7 +326,6 @@ class Observability {
       }
       const std::string stem = strip_json_suffix(telemetry_path_);
       ok &= write_text(stem + ".hist.csv", telemetry_.histograms_csv());
-      ok &= write_text(stem + ".series.csv", telemetry_.series_csv());
       ok &= write_text(stem + ".windows.csv", telemetry_.windows_csv());
     }
     if (reporting()) {
@@ -412,6 +378,21 @@ class Observability {
   }
 
  private:
+  // A window of 0 cycles would divide the run into nothing; reject it
+  // loudly instead of silently clamping (usage error, exit 2).
+  static simt::Telemetry::Options telemetry_options(
+      const util::ArgParser& args) {
+    if (args.get_int("window-cycles") <= 0) {
+      std::fprintf(stderr, "error: --window-cycles must be >= 1 (got %lld)\n",
+                   static_cast<long long>(args.get_int("window-cycles")));
+      std::exit(2);
+    }
+    simt::Telemetry::Options options;
+    options.window_cycles =
+        static_cast<simt::Cycle>(args.get_int("window-cycles"));
+    return options;
+  }
+
   // Adapts the run's collected telemetry / attribution / profiler state
   // into the plain structs util/html_report.h renders. Every section is
   // populated from whatever was collected; sections without data render

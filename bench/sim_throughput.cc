@@ -1,22 +1,21 @@
 // Simulator self-throughput micro-bench: how fast does the DES itself
 // run, and what does attaching telemetry cost?
 //
-// Runs the same seed-0 persistent-thread BFS workload twice — once with
-// only the self-profiler attached, once with telemetry probes sampling
-// as well — and reports:
+// Runs the same seed-0 persistent-thread BFS workload with only the
+// self-profiler attached, then with the flight recorder detached and
+// with telemetry attached, and reports:
 //
 //   * events/sec of the host event loop (wall clock, nondeterministic),
 //   * per-event-type wall-clock attribution from the sampled profiler,
-//   * telemetry overhead as a percent slowdown vs the recorder-on run,
-//     checked against the < 10% design budget (reported, not gated —
-//     wall clock on shared CI machines is too noisy to fail on),
 //   * always-on flight-recorder overhead vs a recorder-detached run,
-//     same < 10% budget; --recorder-budget turns it into a hard gate
-//     (perf-smoke runs with --recorder-budget 10). This one is measured
-//     by interleaving recorder-on and detached runs and comparing the
-//     per-arm minimum wall time: two sequential passes on a shared
-//     machine can drift past the budget from load alone, while the
-//     interleaved minima isolate the recorder's real cost.
+//     checked against the < 10% design budget; --recorder-budget turns
+//     it into a hard gate (perf-smoke runs with --recorder-budget 10),
+//   * telemetry overhead vs a telemetry-detached run, same < 10% budget
+//     (reported, not gated).
+// Both overheads are measured by interleaving on and off runs and
+// comparing the per-arm minimum wall time: two sequential passes on a
+// shared machine can drift past the budget from load alone, while the
+// interleaved minima isolate the sink's real cost.
 //
 // The deterministic half of the profile (events popped, simulated
 // cycles, one count per executed wave op) is a pure function of the
@@ -32,6 +31,7 @@
 // present only in the current artifact, so the wall-clock extras here
 // never trip the guard.
 #include <chrono>
+#include <functional>
 
 #include "bench_common.h"
 
@@ -55,17 +55,39 @@ void run_pass(const simt::DeviceConfig& config, const graph::Graph& g,
 }
 
 // One run, individually timed (steady clock around the whole run).
-// Used by the interleaved recorder-overhead measurement, which wants
-// per-run walls rather than a pass-accumulated total.
 double run_timed_once(const simt::DeviceConfig& config, const graph::Graph& g,
-                      simt::SimProfiler& prof, bool detach_recorder) {
+                      simt::SimProfiler& prof, simt::Telemetry* telemetry,
+                      bool detach_recorder) {
   const auto t0 = std::chrono::steady_clock::now();
-  bfs::PtBfsOptions opt;
-  opt.profiler = &prof;
-  opt.detach_recorder = detach_recorder;
-  (void)run_validated(config, g, 0, opt);
+  run_pass(config, g, 1, prof, telemetry, detach_recorder);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
+}
+
+// Per-arm minimum wall time over `pairs` alternating runs of a sink's on
+// and off arms; `run(on)` times one run. Alternating which arm goes
+// first each pair cancels monotone drift, and the minimum filters load
+// spikes as long as some run of each arm lands in a quiet window.
+struct ArmMinima {
+  double on = 0.0;
+  double off = 0.0;
+  [[nodiscard]] double overhead_pct() const {
+    return off > 0.0 ? 100.0 * (on - off) / off : 0.0;
+  }
+};
+ArmMinima interleaved_minima(std::uint32_t pairs,
+                             const std::function<double(bool on)>& run) {
+  ArmMinima m;
+  for (std::uint32_t r = 0; r < pairs; ++r) {
+    const bool off_first = (r % 2) == 0;
+    const double a = run(!off_first);
+    const double b = run(off_first);
+    const double off = off_first ? a : b;
+    const double on = off_first ? b : a;
+    m.off = (r == 0) ? off : std::min(m.off, off);
+    m.on = (r == 0) ? on : std::min(m.on, on);
+  }
+  return m;
 }
 
 void print_attribution(const simt::SimProfiler& prof) {
@@ -151,38 +173,21 @@ int main(int argc, char** argv) {
   // attached on every run (the black-box contract), so pass 1 above IS
   // the recorder-on configuration; this pass uses the bench-only escape
   // hatch to price the recorder against a truly bare event loop.
-  // Interleave the two configurations and compare per-arm minima: a
-  // sequential on-pass/off-pass comparison confounds the recorder with
-  // machine load drift between the passes, while the minimum over
-  // alternating runs is robust to load spikes in either arm.
+  // At least 5 pairs regardless of --repeat.
+  const std::uint32_t pairs = std::max<std::uint32_t>(repeat, 5);
   simt::SimProfiler prof_norec;
   simt::SimProfiler prof_rec_again;
-  // At least 5 pairs regardless of --repeat: the minimum only filters
-  // load spikes if some iteration of each arm lands in a quiet window.
-  // Alternating the arm order each pair cancels monotone drift too.
-  const std::uint32_t pairs = std::max<std::uint32_t>(repeat, 5);
-  double on_min = 0.0, off_min = 0.0;
-  for (std::uint32_t r = 0; r < pairs; ++r) {
-    const bool off_first = (r % 2) == 0;
-    const double a = run_timed_once(config, g,
-                                    off_first ? prof_norec : prof_rec_again,
-                                    /*detach_recorder=*/off_first);
-    const double b = run_timed_once(config, g,
-                                    off_first ? prof_rec_again : prof_norec,
-                                    /*detach_recorder=*/!off_first);
-    const double off = off_first ? a : b;
-    const double on = off_first ? b : a;
-    off_min = (r == 0) ? off : std::min(off_min, off);
-    on_min = (r == 0) ? on : std::min(on_min, on);
-  }
+  const ArmMinima rec = interleaved_minima(pairs, [&](bool on) {
+    return run_timed_once(config, g, on ? prof_rec_again : prof_norec,
+                          nullptr, /*detach_recorder=*/!on);
+  });
   const double norec_wall = prof_norec.wall_seconds();
-  const double recorder_overhead_pct =
-      off_min > 0.0 ? 100.0 * (on_min - off_min) / off_min : 0.0;
+  const double recorder_overhead_pct = rec.overhead_pct();
   std::printf("\nflight recorder detached:\n");
   std::printf("  wall %.3f ms, %.3g events/sec\n", norec_wall * 1e3,
               prof_norec.events_per_sec());
   std::printf("  interleaved minima: on %.3f ms/run, off %.3f ms/run\n",
-              on_min * 1e3, off_min * 1e3);
+              rec.on * 1e3, rec.off * 1e3);
   std::printf("  always-on recorder overhead: %+.2f%% (budget < 10%%: %s)\n",
               recorder_overhead_pct,
               recorder_overhead_pct < 10.0 ? "within" : "EXCEEDED");
@@ -209,32 +214,37 @@ int main(int argc, char** argv) {
     std::printf("  recorder budget gate (< %.2f%%): PASS\n", budget);
   }
 
-  // Pass 2: telemetry attached (scheduler probes sampling every period).
-  // Same schedule, so the event count matches the bare pass; the wall
-  // delta is the telemetry tax.
+  // Pass 2: telemetry overhead, interleaved the same way against runs
+  // with telemetry detached (both arms keep the recorder). Same
+  // schedule, so both arms pop the same events; the wall delta is the
+  // telemetry tax.
   simt::SimProfiler prof_tel;
+  simt::SimProfiler prof_untel;
   simt::Telemetry telemetry(obs.telemetry().options());
-  run_pass(config, g, repeat, prof_tel, &telemetry);
-  const double tel_wall = prof_tel.wall_seconds();
-  const double overhead_pct =
-      bare_wall > 0.0 ? 100.0 * (tel_wall - bare_wall) / bare_wall : 0.0;
-  std::printf("\ntelemetry attached (period %llu, window %llu):\n",
-              static_cast<unsigned long long>(
-                  telemetry.options().sample_period),
+  const ArmMinima tel = interleaved_minima(pairs, [&](bool on) {
+    return run_timed_once(config, g, on ? prof_tel : prof_untel,
+                          on ? &telemetry : nullptr,
+                          /*detach_recorder=*/false);
+  });
+  const double overhead_pct = tel.overhead_pct();
+  std::printf("\ntelemetry attached (window %llu):\n",
               static_cast<unsigned long long>(
                   telemetry.options().window_cycles));
-  std::printf("  wall %.3f ms, %.3g events/sec\n", tel_wall * 1e3,
-              prof_tel.events_per_sec());
-  std::printf("  overhead vs bare: %+.2f%% (budget < 10%%: %s)\n",
+  std::printf("  wall %.3f ms, %.3g events/sec\n",
+              prof_tel.wall_seconds() * 1e3, prof_tel.events_per_sec());
+  std::printf("  interleaved minima: on %.3f ms/run, off %.3f ms/run\n",
+              tel.on * 1e3, tel.off * 1e3);
+  std::printf("  overhead vs detached: %+.2f%% (budget < 10%%: %s)\n",
               overhead_pct, overhead_pct < 10.0 ? "within" : "EXCEEDED");
   std::printf("\nper-event-type wall-clock attribution (telemetry on):\n");
   print_attribution(prof_tel);
-  if (prof_tel.events() != prof.events()) {
+  if (prof_tel.events() != prof_untel.events()) {
     std::fprintf(stderr,
                  "FATAL: telemetry changed the schedule (%llu events vs "
-                 "%llu bare) — probes must be read-only\n",
+                 "%llu detached) — telemetry must be a pure host-side "
+                 "observer\n",
                  static_cast<unsigned long long>(prof_tel.events()),
-                 static_cast<unsigned long long>(prof.events()));
+                 static_cast<unsigned long long>(prof_untel.events()));
     return 1;
   }
   obs.record_metric("telemetry_overhead_pct", overhead_pct);

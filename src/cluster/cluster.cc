@@ -88,8 +88,6 @@ Cluster::Cluster(const simt::DeviceConfig& config,
           }
           return sum;
         };
-        dev_tel->register_gauge(tel::kXferBacklog, xfer_backlog);
-        // Same signal per fixed window, for the timeline dashboard.
         dev_tel->register_window_gauge(tel::kXferBacklog, xfer_backlog);
       }
       devices_[d]->attach_telemetry(dev_tel.get());

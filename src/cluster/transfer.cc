@@ -24,7 +24,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
   const std::uint32_t total = st.total_new();
   if (total == 0 && st.n_parked == 0) co_return;
   const simt::Cycle t0 = w.now();
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
 
   if (total > 0) {
     // RF/AN enqueue: the proxy aggregates per-lane counts through LDS,
@@ -36,7 +36,6 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     const simt::CasResult r = co_await w.atomic_add(rear_addr(), total);
 
     std::uint64_t ticket = r.old_value;
-    simt::ProtocolStream& events = w.device().protocol();
     for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         if (st.n_parked >= XferWaveState::kMaxParked) {
@@ -49,7 +48,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
       }
     }
     st.n_new.fill(0);
-    if (probes) probes->histogram(tel::kXferAggWidth).add(total);
+    events.xfer_batch(w, total);
   }
 
   // Flush in wave-sized rounds, oldest ticket first: write a full word
@@ -86,8 +85,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     co_await w.store_lanes(writable, addrs, full);
     w.bump(kXferTokens, static_cast<std::uint64_t>(std::popcount(writable)));
     for_lanes(writable, [&](unsigned i) {
-      w.device().protocol().xfer_write(w, tag_, st.parked[i].ticket,
-                                       st.parked[i].token);
+      events.xfer_write(w, tag_, st.parked[i].ticket, st.parked[i].token);
     });
 
     std::uint32_t out = 0;
@@ -98,9 +96,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     st.n_parked = out;
   }
 
-  if (probes && total > 0) {
-    probes->histogram(tel::kXferEnqueueLatency).add(w.now() - t0);
-  }
+  if (total > 0) events.xfer_end(w, t0);
 }
 
 void TransferRing::drain(simt::Device& src,

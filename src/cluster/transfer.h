@@ -28,9 +28,7 @@
 namespace scq::cluster {
 
 namespace tel {
-// Per-device telemetry names (prefixed dev<N>. by the cluster sink).
-inline constexpr const char kXferAggWidth[] = "xfer.agg_width";
-inline constexpr const char kXferEnqueueLatency[] = "xfer.enqueue_latency";
+// Per-device windowed gauge (prefixed dev<N>. by the cluster sink).
 inline constexpr const char kXferBacklog[] = "xfer.backlog";
 // Windowed series recorded at each superstep barrier (one window per
 // superstep, stamped with the barrier horizon). The router series live

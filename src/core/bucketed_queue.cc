@@ -182,18 +182,14 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   const simt::CasResult r = co_await w.atomic_add(front_of(target), n);
   bind_claim_run(w, st, encode_ticket(target, r.old_value), n);
   co_await w.compute(2);  // ticket -> (band, slot, epoch) conversion
-
-  if (simt::Telemetry* probes = probe_sink(w)) {
-    probes->histogram(tel::kAggWidthDequeue).add(n);
-    probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
-  }
+  w.device().protocol().acquire_end(w, t0, n);
 }
 
 Kernel<void> BucketedMultiQueue::publish(Wave& w, WaveQueueState& st) {
   const std::uint32_t total = st.total_new();
   if (total == 0 && !st.has_parked()) co_return;
   const simt::Cycle t0 = w.now();
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
 
   if (total > 0) {
     unsigned producers = 0;
@@ -226,13 +222,11 @@ Kernel<void> BucketedMultiQueue::publish(Wave& w, WaveQueueState& st) {
       }
     }
     st.clear_produce();
-    if (probes) probes->histogram(tel::kAggWidthEnqueue).add(total);
+    events.publish_batch(w, total);
   }
 
   co_await flush_parked(w, st);
-  if (probes && total > 0) {
-    probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
+  if (total > 0) events.publish_end(w, t0);
 }
 
 Kernel<void> BucketedMultiQueue::report_complete(Wave&, std::uint32_t count) {

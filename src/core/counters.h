@@ -1,5 +1,5 @@
 // Application-level statistics counter indices (DeviceStats::user) and
-// the names of the telemetry metrics the schedulers emit.
+// the names of the scheduler's windowed telemetry series.
 #pragma once
 
 namespace scq {
@@ -25,52 +25,30 @@ enum UserCounter : unsigned {
   kBandCloses = 13,      // priority bands observed closed by a wave
 };
 
-// Telemetry metric names (simt::Telemetry). The histograms are the
-// distributions behind the paper's figures: retry *run lengths* and
-// aggregation widths explain Fig. 1/Fig. 5's totals, slot-monitor wait
-// explains the dna polling cost, and the latency histograms price one
-// queue operation end to end.
+// Names of the windowed series register_scheduler_probes registers
+// (core/telemetry_probes.h). The distributions behind the paper's
+// figures — CAS retry run lengths and aggregation widths for Fig. 1 and
+// Fig. 5's totals, slot-monitor waits for the dna polling cost, and the
+// per-operation latencies — are named by the telemetry view of the
+// protocol stream (sim/telemetry.h), which the queues feed by emitting
+// steps.
 namespace tel {
 
-// Histograms (recorded by the queue variants).
-inline constexpr const char kDequeueLatency[] = "queue.dequeue_latency";
-inline constexpr const char kEnqueueLatency[] = "queue.enqueue_latency";
-inline constexpr const char kSlotWait[] = "queue.slot_wait";
-inline constexpr const char kCasRetryRun[] = "queue.cas_retry_run";
-inline constexpr const char kAggWidthDequeue[] = "queue.agg_width_dequeue";
-inline constexpr const char kAggWidthEnqueue[] = "queue.agg_width_enqueue";
-// Cycles a token spent parked under enqueue backpressure, from Rear
-// reservation to the cycle its ring slot finally recycled (only tokens
-// that survived at least one failed flush attempt are recorded).
-inline constexpr const char kPublishStall[] = "queue.publish_stall";
-
-// Time series (sampled gauges registered by the drivers).
+// Gauges, sampled at each window close.
 inline constexpr const char kOccupancy[] = "queue.occupancy";
 // Ring slots currently holding a token; ≤ capacity by construction (the
 // O(capacity) memory-bound invariant, distinct from occupancy which
 // counts reserved tickets and may transiently exceed capacity).
 inline constexpr const char kResidentTokens[] = "queue.resident_tokens";
 inline constexpr const char kAtomicBacklog[] = "atomic_unit.backlog";
-inline constexpr const char kHungryLanes[] = "lanes.hungry";
-inline constexpr const char kAssignedLanes[] = "lanes.assigned";
 inline constexpr const char kWaveUtilization[] = "waves.utilization_pct";
+// Per-band occupancy gauges (BucketedMultiQueue only; suffixed ".b<i>").
+inline constexpr const char kBandOccupancyPrefix[] = "queue.band_occupancy.b";
 
-// Windowed series (sim/timeseries.h; exported under "windows"). Gauges
-// reuse the sampled-series names above — the two sinks answer different
-// questions about the same signal and never collide in the artifact.
-// The counter-delta windows below are per-window increments of the
-// DeviceStats counters; event-shaped window_add series reuse the
-// histogram names (one recorded event per histogram add).
+// Per-window increments of the DeviceStats counters.
 inline constexpr const char kWinPublishStalls[] = "queue.publish_stalls";
 inline constexpr const char kWinCasFailures[] = "queue.cas_failures";
 inline constexpr const char kWinQueueAtomics[] = "queue.atomics";
-
-// Per-band series (BucketedMultiQueue only; suffixed ".b<i>"). The
-// occupancy gauges are registered per band as sampled + windowed
-// series; the stall series is event-shaped (one window_add per parked
-// token that survived a failed flush, binned by its band).
-inline constexpr const char kBandOccupancyPrefix[] = "queue.band_occupancy.b";
-inline constexpr const char kBandStallPrefix[] = "queue.band_stall.b";
 
 }  // namespace tel
 

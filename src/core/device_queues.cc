@@ -98,30 +98,18 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
   // ring epoch; a full word with another tag is a previous epoch's token
   // this lane must not consume (the ABA the tag exists to prevent).
   LaneMask arrived = 0;
-  const bool traceable = traceable_tickets();
   for_lanes(st.assigned, [&](unsigned lane) {
     if (!slot_is_empty(values[lane]) &&
         slot_epoch_tag(values[lane]) == (st.epoch[lane] & kEpochTagMask)) {
       arrived |= bit(lane);
       tokens[lane] = slot_payload(values[lane]);
-      st.deliver_ticket[lane] = traceable ? st.ticket[lane] : kNoTask;
+      st.deliver_ticket[lane] = st.ticket[lane];
     }
   });
   const unsigned missed = static_cast<unsigned>(std::popcount(st.assigned & ~arrived));
   if (missed) w.bump(kPolls, missed);
   w.device().protocol().poll(w, *this, st.assigned, arrived, st.ticket, tokens,
-                             st.miss_noted);
-  if (simt::Telemetry* probes = probe_sink(w); probes && arrived) {
-    // Slot-monitor wait: slot assignment to the sentinel clearing. The
-    // windowed series carries the same cycles per delivery window, so
-    // the dashboard can place the waits on the timeline.
-    simt::Histogram& h = probes->histogram(tel::kSlotWait);
-    for_lanes(arrived, [&](unsigned lane) {
-      const simt::Cycle waited = w.now() - st.assign_cycle[lane];
-      h.add(waited);
-      probes->window_add(tel::kSlotWait, waited);
-    });
-  }
+                             st.assign_cycle, st.miss_noted);
 
   if (arrived) {
     // Pick up the token and recycle the slot for the next ring epoch; no
@@ -301,7 +289,7 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     st.stall_rounds = 0;
     co_return;
   }
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
   bool wrote_any = false;
 
   // Attempt every parked entry, oldest ticket first, in wave-sized
@@ -342,26 +330,13 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     for (std::uint32_t i = 0; i < n && st.parked[i].stalled; ++i) {
       waited |= bit(i);
     }
-    w.device().protocol().write(w, *this, writable, waited, ticket, token);
+    events.write(w, *this, writable, waited, ticket, token);
     resident_ += static_cast<std::uint64_t>(std::popcount(writable));
     co_await w.store_lanes(writable, addrs, full);
     w.bump(kTokensEnqueued, static_cast<std::uint64_t>(std::popcount(writable)));
-    if (probes) {
-      simt::Histogram& h = probes->histogram(tel::kPublishStall);
-      const bool banded = num_bands() > 1;
-      for_lanes(writable, [&](unsigned i) {
-        if (st.parked[i].stalled) {
-          const simt::Cycle stalled = w.now() - st.parked[i].since;
-          h.add(stalled);
-          probes->window_add(tel::kPublishStall, stalled);
-          if (banded) {
-            probes->window_add(tel::kBandStallPrefix +
-                                   std::to_string(band_of(st.parked[i].ticket)),
-                               stalled);
-          }
-        }
-      });
-    }
+    for_lanes(writable & waited, [&](unsigned i) {
+      events.stall_end(w, *this, ticket[i], st.parked[i].since);
+    });
 
     std::uint32_t out = 0;
     for (std::uint32_t i = 0; i < st.n_parked; ++i) {
@@ -395,18 +370,14 @@ Kernel<void> RfanQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   const simt::CasResult r = co_await w.atomic_add(layout_.front_addr(), n);
   bind_claim_run(w, st, r.old_value, n);
   co_await w.compute(2);  // ticket -> (slot, epoch) conversion
-
-  if (simt::Telemetry* probes = probe_sink(w)) {
-    probes->histogram(tel::kAggWidthDequeue).add(n);
-    probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
-  }
+  w.device().protocol().acquire_end(w, t0, n);
 }
 
 Kernel<void> RfanQueue::publish(Wave& w, WaveQueueState& st) {
   const std::uint32_t total = st.total_new();
   if (total == 0 && !st.has_parked()) co_return;
   const simt::Cycle t0 = w.now();
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
 
   if (total > 0) {
     unsigned producers = 0;
@@ -425,13 +396,11 @@ Kernel<void> RfanQueue::publish(Wave& w, WaveQueueState& st) {
       }
     }
     st.clear_produce();
-    if (probes) probes->histogram(tel::kAggWidthEnqueue).add(total);
+    events.publish_batch(w, total);
   }
 
   co_await flush_parked(w, st);
-  if (probes && total > 0) {
-    probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
+  if (total > 0) events.publish_end(w, t0);
 }
 
 // ---- AN: arbitrary-n via proxy thread, but CAS-based (retries) ----
@@ -469,8 +438,7 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   }
   w.bump(kQueueAtomics, 1 + r.retries + drift);
   w.bump(kQueueCasFailures, r.retries + drift);
-  simt::Telemetry* probes = probe_sink(w);
-  if (probes) probes->histogram(tel::kCasRetryRun).add(r.retries + drift);
+  w.device().protocol().cas_run(w, r.retries + drift);
   const std::uint64_t claimed =
       std::min<std::uint64_t>(n, snap[1] > r.old_value ? snap[1] - r.old_value : 0);
   if (claimed == 0) {
@@ -479,17 +447,14 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   }
   // The capped CAS claimed `claimed` contiguous tickets.
   bind_claim_run(w, st, r.old_value, claimed);
-  if (probes) {
-    probes->histogram(tel::kAggWidthDequeue).add(claimed);
-    probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
-  }
+  w.device().protocol().acquire_end(w, t0, claimed);
 }
 
 Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
   const std::uint32_t total = st.total_new();
   if (total == 0 && !st.has_parked()) co_return;
   const simt::Cycle t0 = w.now();
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
 
   if (total > 0) {
     unsigned producers = 0;
@@ -510,7 +475,7 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
     }
     w.bump(kQueueAtomics, 1 + r.retries + drift);
     w.bump(kQueueCasFailures, r.retries + drift);
-    if (probes) probes->histogram(tel::kCasRetryRun).add(r.retries + drift);
+    events.cas_run(w, r.retries + drift);
 
     std::uint64_t ticket = r.old_value;
     for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
@@ -519,13 +484,11 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
       }
     }
     st.clear_produce();
-    if (probes) probes->histogram(tel::kAggWidthEnqueue).add(total);
+    events.publish_batch(w, total);
   }
 
   co_await flush_parked(w, st);
-  if (probes && total > 0) {
-    probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
+  if (total > 0) events.publish_end(w, t0);
 }
 
 // ---- BASE: traditional lock-free queue, one CAS loop per thread ----
@@ -576,12 +539,12 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
       simt::AtomicKind::kBoundedAdd, trying, addrs, ones, bound, old, retries);
 
   std::uint64_t attempts = 0, failures = 0;
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
   for_lanes(trying, [&](unsigned lane) {
     attempts += 1 + retries[lane];
     failures += retries[lane];
     // One CAS loop per lane: its folded failure count is the run length.
-    if (probes) probes->histogram(tel::kCasRetryRun).add(retries[lane]);
+    events.cas_run(w, retries[lane]);
   });
   w.bump(kQueueAtomics, attempts);
   w.bump(kQueueCasFailures, failures);
@@ -590,9 +553,7 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
 
   for_lanes(claimed, [&](unsigned lane) { st.ticket[lane] = old[lane]; });
   bind_claims(w, st, claimed);
-  if (probes && claimed) {
-    probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
-  }
+  if (claimed) events.acquire_end(w, t0, 0);
   for_lanes(trying, [&](unsigned lane) {
     // Contention-managed retry pacing: a loop that absorbed failures
     // backs off whether or not it finally claimed.
@@ -617,7 +578,7 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
   }
   if (!pending && !st.has_parked()) co_return;
   const simt::Cycle t0 = w.now();
-  simt::Telemetry* probes = probe_sink(w);
+  simt::ProtocolStream& events = w.device().protocol();
   const bool produced = pending != 0;
 
   // Each producing lane CAS-loops one ticket per token out of Rear; all
@@ -641,7 +602,7 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
     for_lanes(pending, [&](unsigned lane) {
       attempts += 1 + retries[lane];
       failures += retries[lane];
-      if (probes) probes->histogram(tel::kCasRetryRun).add(retries[lane]);
+      events.cas_run(w, retries[lane]);
     });
     w.bump(kQueueAtomics, attempts);
     w.bump(kQueueCasFailures, failures);
@@ -655,9 +616,7 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
   st.clear_produce();
 
   co_await flush_parked(w, st);
-  if (probes && produced) {
-    probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
+  if (produced) events.publish_end(w, t0);
 }
 
 Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {

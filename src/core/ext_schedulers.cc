@@ -71,7 +71,6 @@ Kernel<void> LockedStack::acquire_slots(Wave& w, WaveQueueState& st) {
 Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
   const std::uint32_t total = st.total_new();
   if (total == 0 && !st.has_parked()) co_return;
-  simt::Telemetry* probes = probe_sink(w);
 
   // Producers must move their batch out of registers this cycle, so they
   // spin for the lock. The holder always releases, so the wait is
@@ -114,14 +113,9 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
   }
   if (flush > 0) {
     w.bump(kTokensEnqueued, flush);
-    if (probes) {
-      simt::Histogram& h = probes->histogram(tel::kPublishStall);
-      for (std::uint32_t i = 0; i < flush; ++i) {
-        if (st.parked[i].stalled) {
-          const simt::Cycle stalled = w.now() - st.parked[i].since;
-          h.add(stalled);
-          probes->window_add(tel::kPublishStall, stalled);
-        }
+    for (std::uint32_t i = 0; i < flush; ++i) {
+      if (st.parked[i].stalled) {
+        w.device().protocol().stall_end(w, *this, kNoTask, st.parked[i].since);
       }
     }
     std::uint32_t out = 0;
@@ -153,7 +147,8 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
             chunk = 0;
           }
         } else {
-          park(w, st, 0, st.new_tokens[lane][t]);
+          // A push has no ticket: the LIFO reuses its indices.
+          park(w, st, kNoTask, st.new_tokens[lane][t]);
         }
       }
     }

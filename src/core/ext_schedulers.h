@@ -34,9 +34,6 @@ class LockedStack final : public DeviceQueue {
   [[nodiscard]] QueueVariant variant() const override {
     return QueueVariant::kStack;
   }
-  // The LIFO reuses indices under the lock instead of handing out
-  // monotone tickets, so there is no per-task identity to trace.
-  [[nodiscard]] bool traceable_tickets() const override { return false; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
   void seed(simt::Device& dev, std::span<const std::uint64_t> tokens) override;

@@ -113,11 +113,6 @@ struct QueueLayout {
   [[nodiscard]] Addr slot_addr(std::uint64_t i) const { return slots.at(i); }
 };
 
-// Telemetry sink for scheduler probes: the device's attached telemetry,
-// or nullptr (probes then cost nothing — they are host-side bookkeeping
-// and never simulated cycles).
-inline simt::Telemetry* probe_sink(Wave& w) { return w.device().telemetry(); }
-
 // Allocates and initializes a device queue (host side, pre-launch §3.1).
 QueueLayout make_device_queue(simt::Device& dev, std::uint64_t capacity);
 
@@ -148,8 +143,9 @@ struct WaveQueueState {
   std::array<std::uint64_t, kWaveWidth> ticket{};  // claimed ticket per lane
   std::array<std::uint64_t, kWaveWidth> slot{};    // its ring slot index
   std::array<std::uint64_t, kWaveWidth> epoch{};   // its expected ring epoch
-  // Cycle at which each lane's slot was assigned (telemetry: the slot-
-  // monitor wait histogram measures assignment -> sentinel clearing).
+  // Cycle at which each lane's slot was assigned; the poll step carries
+  // it, and telemetry's slot-monitor wait measures assignment ->
+  // sentinel clearing.
   std::array<simt::Cycle, kWaveWidth> assign_cycle{};
   // Lanes whose current claim has missed at least one arrival poll: the
   // protocol stream's poll step keeps it for the flight recorder's
@@ -277,10 +273,10 @@ enum class QueueVariant {
 // Interface shared by the three variants so driver kernels (BFS) are
 // variant-agnostic. As a simt::TicketSpace it tells the protocol
 // stream's views where each ticket lives: slot_of places a ticket in
-// the ring, band_of names its priority band (the banded multi-queue
-// overrides it), and traceable_tickets says whether tickets can serve
-// as task-trace ids (the locked stack reuses LIFO indices and
-// overrides it to false).
+// the ring, and num_bands and band_of name its priority band (the
+// banded multi-queue overrides them). The queues feed every view —
+// telemetry included — by emitting protocol steps; none names a sink or
+// a metric.
 class DeviceQueue : public simt::TicketSpace {
  public:
   explicit DeviceQueue(QueueLayout layout) : layout_(layout) {}
@@ -340,7 +336,7 @@ class DeviceQueue : public simt::TicketSpace {
   // from index 0 with Rear = count; resets the control block).
   virtual void seed(simt::Device& dev, std::span<const std::uint64_t> tokens);
 
-  // Host-side backlog snapshot for the telemetry sampler: tickets
+  // Host-side backlog snapshot for the telemetry windows: tickets
   // reserved but not yet claimed (Rear - Front). May transiently exceed
   // capacity, since Rear counts reservations, not written slots. Costs
   // no simulated cycles. Extension schedulers with other control
@@ -349,17 +345,17 @@ class DeviceQueue : public simt::TicketSpace {
 
   // Host-side count of ring slots currently holding a token (full
   // words). Bounded by capacity by construction; exposed so tests and
-  // the telemetry sampler can watch the O(capacity) residency
+  // the telemetry windows can watch the O(capacity) residency
   // invariant. Maintained incrementally at the slot write/recycle sites
-  // (O(1) per call — the sampler reads it thousands of times per run)
+  // (O(1) per call — a window gauge reads it at every window close)
   // and exact whenever no fill/recycle store is in flight; see
   // resident_tokens_scan for the memory ground truth.
   [[nodiscard]] virtual std::uint64_t resident_tokens(const simt::Device& dev) const;
 
   // Ground-truth recount of full slots straight from ring memory
   // (O(capacity) host work). Tests use it to pin resident_tokens'
-  // incremental accounting to the memory contents; not for the
-  // sampler's hot path. Counts full words regardless of epoch, so it is
+  // incremental accounting to the memory contents; not for a window
+  // gauge's hot path. Counts full words regardless of epoch, so it is
   // only meaningful for the ring variants (the locked stack leaves
   // popped words in place and overrides resident_tokens with Top).
   [[nodiscard]] std::uint64_t resident_tokens_scan(const simt::Device& dev) const;
@@ -376,9 +372,8 @@ class DeviceQueue : public simt::TicketSpace {
   }
 
   // Priority-band introspection. Single-band queues report one band
-  // (and inherit band_of's band 0); BucketedMultiQueue overrides all
-  // three.
-  [[nodiscard]] virtual std::uint32_t num_bands() const { return 1; }
+  // (TicketSpace's num_bands and band_of); BucketedMultiQueue overrides
+  // all three.
   // Host-side backlog of one band (reserved-but-unclaimed tickets),
   // for the per-band telemetry gauges.
   [[nodiscard]] virtual std::uint64_t band_occupancy(const simt::Device& dev,

@@ -11,31 +11,16 @@ void register_scheduler_probes(simt::Telemetry& telemetry, simt::Device& dev,
   simt::Device* d = &dev;
   const DeviceQueue* q = &queue;
 
-  telemetry.register_gauge(tel::kOccupancy,
-                           [d, q](simt::Cycle) { return q->occupancy(*d); });
-
-  // The ring-residency invariant (≤ capacity always) as a sampled
-  // series, and the backpressure histogram pre-registered so it appears
-  // in exports even for runs that never stalled.
-  telemetry.register_gauge(tel::kResidentTokens,
-                           [d, q](simt::Cycle) { return q->resident_tokens(*d); });
-  telemetry.histogram(tel::kPublishStall);
-
-  const simt::Addr front = queue.layout().front_addr();
-  const simt::Addr rear = queue.layout().rear_addr();
-  telemetry.register_gauge(tel::kAtomicBacklog, [d, front, rear](simt::Cycle now) {
-    return d->atomic_unit().backlog(front, now) + d->atomic_unit().backlog(rear, now);
-  });
-
-  // Windowed series: the same shape signals, cut into fixed cycle
-  // windows for the timeline dashboard. Gauges sample once per window
-  // close; counter probes record the per-window delta of the
-  // scheduler's atomic accounting.
+  // Gauges sample once per window close; counter probes record the
+  // per-window delta of the scheduler's atomic accounting.
   telemetry.register_window_gauge(
       tel::kOccupancy, [d, q](simt::Cycle) { return q->occupancy(*d); });
+  // The ring-residency invariant (≤ capacity always) as a series.
   telemetry.register_window_gauge(
       tel::kResidentTokens,
       [d, q](simt::Cycle) { return q->resident_tokens(*d); });
+  const simt::Addr front = queue.layout().front_addr();
+  const simt::Addr rear = queue.layout().rear_addr();
   telemetry.register_window_gauge(
       tel::kAtomicBacklog, [d, front, rear](simt::Cycle now) {
         return d->atomic_unit().backlog(front, now) +
@@ -50,27 +35,26 @@ void register_scheduler_probes(simt::Telemetry& telemetry, simt::Device& dev,
   telemetry.register_window_counter(tel::kWinQueueAtomics, [d](simt::Cycle) {
     return d->stats().user[kQueueAtomics];
   });
+  // The backpressure histogram appears in exports even for runs that
+  // never stalled.
+  telemetry.declare(simt::StepMetric::kPublishStall);
 
-  // Per-band backlog for the priority multi-queue: one sampled series
-  // and one windowed series per band, so the dashboard shows the
-  // bucket-drain cascade (band b emptying as band b+1 fills). The
-  // band-stall series is event-shaped and recorded at the publish
-  // backpressure site (flush_parked).
+  // Per-band backlog for the priority multi-queue, so the dashboard
+  // shows the bucket-drain cascade (band b emptying as band b+1 fills).
   if (const std::uint32_t bands = queue.num_bands(); bands > 1) {
     for (std::uint32_t b = 0; b < bands; ++b) {
-      const std::string name = tel::kBandOccupancyPrefix + std::to_string(b);
-      telemetry.register_gauge(
-          name, [d, q, b](simt::Cycle) { return q->band_occupancy(*d, b); });
       telemetry.register_window_gauge(
-          name, [d, q, b](simt::Cycle) { return q->band_occupancy(*d, b); });
+          tel::kBandOccupancyPrefix + std::to_string(b),
+          [d, q, b](simt::Cycle) { return q->band_occupancy(*d, b); });
     }
   }
 
-  // Utilization: ports issue one compute cycle per cycle at most, so
-  // delta(compute_cycles) / (delta(t) * resident waves) approximates the
-  // fraction of wave-cycles doing ALU work (vs waiting or polling).
+  // Utilization over each window: ports issue one compute cycle per
+  // cycle at most, so delta(compute_cycles) / (delta(t) * resident
+  // waves) approximates the fraction of wave-cycles doing ALU work (vs
+  // waiting or polling).
   const std::uint64_t waves = dev.config().resident_waves();
-  telemetry.register_gauge(
+  telemetry.register_window_gauge(
       tel::kWaveUtilization,
       [d, waves, prev_cycle = simt::Cycle{0},
        prev_compute = std::uint64_t{0}](simt::Cycle now) mutable {

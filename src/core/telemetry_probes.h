@@ -1,16 +1,22 @@
 // Standard scheduler telemetry probes.
 //
-// register_scheduler_probes wires the gauges every persistent-thread
-// driver wants sampled against one (device, queue) pair:
+// register_scheduler_probes wires the windowed series every persistent-
+// thread run wants against one (device, queue) pair:
 //
 //   queue.occupancy         Rear - Front (tokens enqueued, unclaimed)
+//   queue.resident_tokens   ring slots holding a token (≤ capacity)
 //   atomic_unit.backlog     cycles of FIFO backlog on Front + Rear
-//   waves.utilization_pct   compute cycles issued per sample period,
-//                           as % of resident-wave issue capacity
+//   queue.publish_stalls,   per-window deltas of the scheduler's
+//   queue.cas_failures,     counters
+//   queue.atomics
+//   queue.band_occupancy.b<i>  per band, banded queues only
+//   waves.utilization_pct   compute cycles issued per window, as % of
+//                           resident-wave issue capacity
 //
-// The hungry/assigned lane-count series come from the wave loops via
-// Telemetry::set_shard (each wave publishes its popcounts; the sampler
-// sums them), so drivers need no registration for those.
+// The distributions and the lane census (lanes.hungry, lanes.assigned)
+// come from the protocol stream's steps, so they need no registration.
+// tasks::run_task_waves registers these for every single-device run and
+// the cluster runtime for each of its devices.
 //
 // Gauges capture the device and queue by reference: they must be
 // re-registered (after Telemetry::clear_probes) whenever the probed

@@ -223,8 +223,7 @@ RunResult Device::launch_end() {
 
   now_ = std::max(now_, launch_end_time_);
   if (telemetry_) {
-    telemetry_->sample_now(now_);        // flush final state
-    telemetry_->flush_windows(now_);     // close the partial tail window
+    telemetry_->flush_windows(now_);  // close the partial tail window
     // Ring-bound window loss becomes visible in the trace export's
     // dropped-metadata record, alongside the recorder's own drops.
     if (tracer_) {

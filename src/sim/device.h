@@ -109,9 +109,12 @@ class Device {
   void attach_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
   [[nodiscard]] TraceRecorder* tracer() { return tracer_; }
   // Optional telemetry (not owned; nullptr disables). The event loop
-  // drives its cycle sampler; kernels and schedulers feed its
-  // histograms through this accessor.
-  void attach_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
+  // drives its window clock, and it is the fourth view of the protocol
+  // stream.
+  void attach_telemetry(Telemetry* telemetry) {
+    telemetry_ = telemetry;
+    protocol_.attach_telemetry(telemetry);
+  }
   [[nodiscard]] Telemetry* telemetry() { return telemetry_; }
   // Optional simulator self-profiling (not owned; nullptr disables):
   // host wall-clock attribution of the event loop itself. Counts every
@@ -120,11 +123,11 @@ class Device {
   [[nodiscard]] SimProfiler* profiler() { return profiler_; }
   // The device's queue-protocol event stream (sim/protocol_stream.h):
   // queues, transfer rings, the router and the task-engine clients emit
-  // every protocol step into it. Its three views are optional (not
-  // owned; nullptr disables): the operation history the fuzz checker
-  // consumes, the per-task causal trace sim/critical_path.h consumes,
-  // and the black-box flight recorder (core/black_box.h snapshots it on
-  // abort paths).
+  // every protocol step into it. Its views are optional (not owned;
+  // nullptr disables): the operation history the fuzz checker consumes,
+  // the per-task causal trace sim/critical_path.h consumes, the
+  // black-box flight recorder (core/black_box.h snapshots it on abort
+  // paths) and the telemetry attached above.
   [[nodiscard]] ProtocolStream& protocol() { return protocol_; }
   void attach_op_history(OpHistory* history) {
     protocol_.attach_history(history);

@@ -34,7 +34,7 @@ void ProtocolStream::to_views(QueueOp op, TaskPhase phase, const StepActor& a,
       to_history(op, a, ring, ticket[lane], payload(lane));
     });
   }
-  if (trace_ != nullptr && ring.traceable_tickets()) {
+  if (trace_ != nullptr) {
     for_lanes(mask, [&](unsigned lane) {
       to_trace(phase, a, ticket[lane], payload(lane));
     });
@@ -56,8 +56,7 @@ void ProtocolStream::host_publish(const TicketSpace& ring, HostOrigin origin,
   }
   // Router injections carry no trace id on the receiving device. Seeds
   // have no parent: they root the spawn forest.
-  if (trace_ != nullptr && origin == HostOrigin::kSeed &&
-      ring.traceable_tickets()) {
+  if (trace_ != nullptr && origin == HostOrigin::kSeed) {
     to_trace(TaskPhase::kReserve, a, ticket, token);
     to_trace(TaskPhase::kPayloadWrite, a, ticket, token);
   }

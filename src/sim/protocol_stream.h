@@ -1,4 +1,4 @@
-// One stream of queue-protocol events, read by three views.
+// One stream of queue-protocol events, read by four views.
 //
 // Every token goes through the same steps: its enqueue ticket is
 // reserved, its payload written into the ticket's slot, its dequeue
@@ -6,8 +6,9 @@
 // closes, transfer-ring traffic, host publishes and task executions sit
 // around them. Producers emit each step once and name no sink; the
 // stream turns it into records of whichever views are attached — the op
-// history (checker input), the flight recorder (always-on black box)
-// and the task trace (critical-path input):
+// history (checker input), the flight recorder (always-on black box),
+// the task trace (critical-path input) and telemetry (distributions and
+// windowed series):
 //
 //   step          OpHistory          FlightRecorder            TaskTrace
 //   reserve       enq-reserve        reserve, coalesced        reserve
@@ -27,9 +28,24 @@
 //   exec_start/   -                  -                         exec-start/
 //   exec_end                                                   exec-end
 //
-// The task trace takes only rings whose tickets are unique for a run
-// (TicketSpace::traceable_tickets). The recorder rides every run, so a
-// wave's batch of steps folds into one coalesced event
+// Telemetry reads its own column (metric names are queue.* unless
+// given in full; Telemetry owns them):
+//
+//   step           Telemetry
+//   poll           slot_wait, one value per delivered lane
+//   stall_end      publish_stall; band_stall.b<i> windows on banded rings
+//   cas_run        cas_retry_run
+//   acquire_end    dequeue_latency; agg_width_dequeue unless per-lane
+//   publish_batch  agg_width_enqueue
+//   publish_end    enqueue_latency
+//   xfer_batch     xfer.agg_width
+//   xfer_end       xfer.enqueue_latency
+//   lanes          lanes.hungry and lanes.assigned windows
+//
+// The last eight steps feed telemetry only. A reservation without a
+// ticket (kNoTask: the locked stack's pushes, whose LIFO indices are no
+// identity) reaches no ticket-keyed view. The recorder rides every run,
+// so a wave's batch of steps folds into one coalesced event
 // (FlightRecorder::log_steps); the full records that keep its wait
 // tables are written only at wait transitions. A lane-batch step
 // carries the whole batch so each view keeps its own order: history
@@ -48,6 +64,7 @@
 #include "sim/flight_recorder.h"
 #include "sim/op_history.h"
 #include "sim/task_trace.h"
+#include "sim/telemetry.h"
 #include "sim/wave.h"
 
 namespace simt {
@@ -66,13 +83,12 @@ class TicketSpace {
   TicketSpace& operator=(const TicketSpace&) = delete;
   virtual ~TicketSpace() = default;
   [[nodiscard]] virtual SlotRef slot_of(std::uint64_t ticket) const = 0;
-  // Priority band of a ticket (0 for single-band rings).
+  // Number of priority bands, and the band of a ticket (one band 0 for
+  // single-band rings).
+  [[nodiscard]] virtual std::uint32_t num_bands() const { return 1; }
   [[nodiscard]] virtual std::uint64_t band_of(std::uint64_t /*ticket*/) const {
     return 0;
   }
-  // True when tickets are unique for the life of a run and can serve as
-  // task-trace ids.
-  [[nodiscard]] virtual bool traceable_tickets() const { return true; }
 };
 
 // Who took a step, and when.
@@ -106,6 +122,7 @@ class ProtocolStream {
   void attach_history(OpHistory* view) { history_ = view; }
   void attach_recorder(FlightRecorder* view) { recorder_ = view; }
   void attach_task_trace(TaskTrace* view) { trace_ = view; }
+  void attach_telemetry(Telemetry* view) { telemetry_ = view; }
   // Stamps task-trace events with steady-clock nanoseconds since this
   // call instead of the step's cycle: for host-thread producers with no
   // simulated clock.
@@ -120,6 +137,7 @@ class ProtocolStream {
   // Enqueue ticket reserved for `token`, spawned by task `parent`.
   void reserve(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
                std::uint64_t token, std::uint64_t parent = kNoTask) {
+    if (ticket == kNoTask) return;
     if (history_ != nullptr) {
       to_history(QueueOp::kEnqueueReserve, a, ring, ticket, token);
     }
@@ -127,7 +145,7 @@ class ProtocolStream {
       recorder_->log_steps(FlightKind::kReserve, a.id, 0, ticket,
                            ring.band_of(ticket), a.cycle, 1);
     }
-    if (trace_ != nullptr && ring.traceable_tickets()) {
+    if (trace_ != nullptr) {
       to_trace(TaskPhase::kReserve, a, ticket, token, parent);
     }
   }
@@ -136,7 +154,7 @@ class ProtocolStream {
   // for its slot to recycle (`since` in the recorder's parked table).
   void stall(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
              std::uint64_t token) {
-    if (recorder_ != nullptr) {
+    if (recorder_ != nullptr && ticket != kNoTask) {
       to_recorder(FlightKind::kReserve, a, 0, ticket, token,
                   ring.band_of(ticket));
     }
@@ -172,14 +190,20 @@ class ProtocolStream {
   }
 
   // One arrival poll: every lane of `polled` read its monitored slot,
-  // and the `arrived` ones found token[lane]. `waiting` holds the lanes
-  // whose claim has already missed a poll; the recorder keeps it.
+  // and the `arrived` ones found token[lane]; lane i had claimed its
+  // ticket at cycle claimed_at[i]. `waiting` holds the lanes whose claim
+  // has already missed a poll; the recorder keeps it.
   void poll(StepActor a, const TicketSpace& ring, LaneMask polled,
             LaneMask arrived, LaneWords ticket, LaneWords token,
-            LaneMask& waiting) {
+            LaneWords claimed_at, LaneMask& waiting) {
     if (history_ != nullptr || trace_ != nullptr) {
       to_views(QueueOp::kDequeueDeliver, TaskPhase::kArrival, a, ring,
                arrived, ticket, token);
+    }
+    if (telemetry_ != nullptr) {
+      for_lanes(arrived, [&](unsigned lane) {
+        telemetry_->record(StepMetric::kSlotWait, a.cycle - claimed_at[lane]);
+      });
     }
     if (recorder_ == nullptr) return;
     // A claim becomes a wait on its first missed poll: its full event
@@ -210,7 +234,7 @@ class ProtocolStream {
   void deliver(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
                std::uint64_t token) {
     LaneMask waiting = 0;
-    poll(a, ring, 1, 1, {&ticket, 1}, {&token, 1}, waiting);
+    poll(a, ring, 1, 1, {&ticket, 1}, {&token, 1}, {&a.cycle, 1}, waiting);
   }
 
   // `count` tasks reported complete in `band`.
@@ -250,6 +274,66 @@ class ProtocolStream {
   void host_publish(const TicketSpace& ring, HostOrigin origin,
                     std::uint64_t ticket, std::uint64_t token, Cycle cycle);
 
+  // ---- Operation steps (telemetry only) ----
+
+  // A stalled reservation's payload landed in its slot; it had been
+  // parked since cycle `since`.
+  void stall_end(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
+                 Cycle since) {
+    if (telemetry_ == nullptr) return;
+    telemetry_->record(StepMetric::kPublishStall, a.cycle - since);
+    if (ring.num_bands() > 1) {
+      telemetry_->record_band_stall(ring.band_of(ticket), a.cycle - since);
+    }
+  }
+  // One CAS loop finished after `retries` failed attempts.
+  void cas_run(StepActor /*a*/, std::uint64_t retries) {
+    if (telemetry_ != nullptr) {
+      telemetry_->record(StepMetric::kCasRetryRun, retries);
+    }
+  }
+  // A slot acquisition that began at `start` claimed work. `width` is
+  // the ticket count a wave's proxy claimed in one atomic; per-lane
+  // claims pass 0 and record no width.
+  void acquire_end(StepActor a, Cycle start, std::uint64_t width) {
+    if (telemetry_ == nullptr) return;
+    if (width != 0) telemetry_->record(StepMetric::kAggWidthDequeue, width);
+    telemetry_->record(StepMetric::kDequeueLatency, a.cycle - start);
+  }
+  // A wave's proxy reserved `width` enqueue tickets in one batch.
+  void publish_batch(StepActor /*a*/, std::uint64_t width) {
+    if (telemetry_ != nullptr) {
+      telemetry_->record(StepMetric::kAggWidthEnqueue, width);
+    }
+  }
+  // A publish that began at `start` with new tokens returned, its
+  // flush included.
+  void publish_end(StepActor a, Cycle start) {
+    if (telemetry_ != nullptr) {
+      telemetry_->record(StepMetric::kEnqueueLatency, a.cycle - start);
+    }
+  }
+  // The same two steps on a cluster transfer ring.
+  void xfer_batch(StepActor /*a*/, std::uint64_t width) {
+    if (telemetry_ != nullptr) {
+      telemetry_->record(StepMetric::kXferAggWidth, width);
+    }
+  }
+  void xfer_end(StepActor a, Cycle start) {
+    if (telemetry_ != nullptr) {
+      telemetry_->record(StepMetric::kXferEnqueueLatency, a.cycle - start);
+    }
+  }
+  // A wave's lanes at one work cycle: those asking for work and those
+  // monitoring a claimed slot.
+  void lanes(StepActor a, LaneMask hungry, LaneMask assigned) {
+    if (telemetry_ != nullptr) {
+      telemetry_->note_lanes(a.id,
+                             static_cast<std::uint64_t>(std::popcount(hungry)),
+                             static_cast<std::uint64_t>(std::popcount(assigned)));
+    }
+  }
+
   // ---- Client steps ----
   void exec_start(StepActor a, std::uint64_t ticket, std::uint64_t payload) {
     if (trace_ != nullptr) to_trace(TaskPhase::kExecStart, a, ticket, payload);
@@ -287,6 +371,7 @@ class ProtocolStream {
   OpHistory* history_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   TaskTrace* trace_ = nullptr;
+  Telemetry* telemetry_ = nullptr;
   bool wall_clock_ = false;
   std::chrono::steady_clock::time_point wall_epoch_{};
 };

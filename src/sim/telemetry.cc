@@ -76,107 +76,97 @@ void Histogram::merge(const Histogram& rhs) {
   max_ = std::max(max_, rhs.max_);
 }
 
+namespace {
+
+constexpr std::array<std::string_view, kStepMetrics> kStepNames = {
+    "queue.dequeue_latency",   "queue.enqueue_latency",
+    "queue.slot_wait",         "queue.cas_retry_run",
+    "queue.agg_width_dequeue", "queue.agg_width_enqueue",
+    "queue.publish_stall",     "xfer.agg_width",
+    "xfer.enqueue_latency"};
+constexpr std::string_view kBandStallPrefix = "queue.band_stall.b";
+constexpr std::string_view kHungryLanes = "lanes.hungry";
+constexpr std::string_view kAssignedLanes = "lanes.assigned";
+
+}  // namespace
+
 Histogram& Telemetry::histogram(std::string_view name) {
-  if (!prefix_.empty()) {
-    const std::string key = prefix_ + std::string(name);
-    auto it = histograms_.find(key);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(key, Histogram{}).first;
-    }
-    return it->second;
-  }
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  return it->second;
+  return histograms_[prefix_ + std::string(name)];
 }
 
 const Histogram* Telemetry::find_histogram(std::string_view name) const {
-  const auto it = prefix_.empty()
-                      ? histograms_.find(name)
-                      : histograms_.find(prefix_ + std::string(name));
+  const auto it = histograms_.find(prefix_ + std::string(name));
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void Telemetry::register_gauge(std::string_view name, Gauge fn) {
-  gauges_.emplace_back(prefix_ + std::string(name), std::move(fn));
+Histogram& Telemetry::step_histogram(StepMetric metric) {
+  Histogram*& h = steps_[static_cast<std::size_t>(metric)].histogram;
+  if (h == nullptr) h = &histogram(kStepNames[static_cast<std::size_t>(metric)]);
+  return *h;
 }
 
-void Telemetry::set_shard(std::string_view name, std::uint32_t shard,
-                          std::uint64_t value) {
-  auto it = prefix_.empty() ? shards_.find(name)
-                            : shards_.find(prefix_ + std::string(name));
-  if (it == shards_.end()) {
-    it = shards_.emplace(prefix_ + std::string(name),
-                         std::vector<std::uint64_t>{})
-             .first;
+void Telemetry::record(StepMetric metric, std::uint64_t value) {
+  step_histogram(metric).add(value);
+  if (metric != StepMetric::kSlotWait && metric != StepMetric::kPublishStall) {
+    return;
   }
-  if (it->second.size() <= shard) it->second.resize(shard + 1, 0);
-  it->second[shard] = value;
+  const auto i = static_cast<std::size_t>(metric);
+  std::uint64_t*& window = steps_[i].window;
+  if (window == nullptr) {
+    window = &windows_.accumulator(prefix_ + std::string(kStepNames[i]));
+  }
+  *window += value;
+}
+
+void Telemetry::record_band_stall(std::uint64_t band, std::uint64_t cycles) {
+  if (band_stalls_.size() <= band) band_stalls_.resize(band + 1, nullptr);
+  std::uint64_t*& window = band_stalls_[band];
+  if (window == nullptr) {
+    window = &windows_.accumulator(prefix_ + std::string(kBandStallPrefix) +
+                                   std::to_string(band));
+  }
+  *window += cycles;
+}
+
+void Telemetry::note_lanes(std::uint32_t wave, std::uint64_t hungry,
+                           std::uint64_t assigned) {
+  if (lanes_.empty()) {
+    // The first census since the probes were cleared registers the two
+    // sums over waves as window gauges.
+    const auto sum_of = [this](std::uint64_t LaneCensus::*field) {
+      return [this, field](Cycle) {
+        std::uint64_t sum = 0;
+        for (const LaneCensus& c : lanes_) sum += c.*field;
+        return sum;
+      };
+    };
+    register_window_gauge(kHungryLanes, sum_of(&LaneCensus::hungry));
+    register_window_gauge(kAssignedLanes, sum_of(&LaneCensus::assigned));
+  }
+  if (lanes_.size() <= wave) lanes_.resize(wave + 1);
+  lanes_[wave] = {hungry, assigned};
 }
 
 void Telemetry::merge_from(const Telemetry& other) {
   for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
-  for (const auto& [name, points] : other.series_) {
-    std::vector<Sample>& dst = series_[name];
-    for (const Sample& s : points) {
-      if (dst.size() >= options_.max_samples) {
-        ++dropped_samples_;
-      } else {
-        dst.push_back(s);
-      }
-    }
-  }
-  dropped_samples_ += other.dropped_samples_;
   windows_.merge_from(other.windows_);
 }
 
 void Telemetry::clear_probes() {
-  gauges_.clear();
-  shards_.clear();
   windows_.clear_probes();
-  // A new probed run starts its cycle clock at 0; restart the sampler so
-  // the new run's early cycles are not masked by the previous run's
-  // aligned next-tick.
-  next_sample_ = 0;
-}
-
-void Telemetry::record_point(const std::string& name, Cycle now,
-                             std::uint64_t value) {
-  std::vector<Sample>& points = series_[name];
-  if (points.size() >= options_.max_samples) {
-    ++dropped_samples_;
-  } else {
-    points.push_back({now, value});
-  }
-  if (mirror_) mirror_->record_counter({now, name, static_cast<double>(value)});
-}
-
-void Telemetry::sample_now(Cycle now) {
-  for (const auto& [name, fn] : gauges_) record_point(name, now, fn(now));
-  for (const auto& [name, values] : shards_) {
-    std::uint64_t sum = 0;
-    for (std::uint64_t v : values) sum += v;
-    record_point(name, now, sum);
-  }
-  // Next periodic tick strictly after `now`, aligned to the period.
-  const Cycle period = std::max<Cycle>(options_.sample_period, 1);
-  next_sample_ = (now / period + 1) * period;
+  lanes_.clear();
+  for (StepSlot& slot : steps_) slot.window = nullptr;
+  band_stalls_.clear();
 }
 
 void Telemetry::reset_data() {
   histograms_.clear();
-  series_.clear();
   windows_.reset_data();
-  dropped_samples_ = 0;
-  next_sample_ = 0;
+  for (StepSlot& slot : steps_) slot.histogram = nullptr;
 }
 
 std::string Telemetry::to_json() const {
-  std::string out = "{\n  \"sample_period\": " + u64(options_.sample_period) +
-                    ",\n  \"dropped_samples\": " + u64(dropped_samples_) +
-                    ",\n  \"meta\": {";
+  std::string out = "{\n  \"meta\": {";
   bool first = true;
   for (const auto& [key, value] : meta_) {
     if (!first) out += ',';
@@ -223,20 +213,6 @@ std::string Telemetry::to_json() const {
     }
     out += "]}";
   }
-  out += "\n  },\n  \"series\": {";
-  first = true;
-  for (const auto& [name, points] : series_) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n    \"" + json_escape(name) + "\": [";
-    bool first_point = true;
-    for (const Sample& s : points) {
-      if (!first_point) out += ',';
-      first_point = false;
-      out += '[' + u64(s.cycle) + ',' + u64(s.value) + ']';
-    }
-    out += ']';
-  }
   out += "\n  },\n  \"windows\": " + windows_.to_json() + "\n}\n";
   return out;
 }
@@ -260,16 +236,6 @@ std::string Telemetry::histograms_csv() const {
       if (h.bucket_count(b) == 0) continue;
       csv.add_row({name, u64(Histogram::bucket_low(b)),
                    u64(Histogram::bucket_high(b)), u64(h.bucket_count(b))});
-    }
-  }
-  return csv.render();
-}
-
-std::string Telemetry::series_csv() const {
-  scq::util::CsvWriter csv({"series", "cycle", "value"});
-  for (const auto& [name, points] : series_) {
-    for (const Sample& s : points) {
-      csv.add_row({name, u64(s.cycle), u64(s.value)});
     }
   }
   return csv.render();

@@ -10,31 +10,34 @@
 //     lengths, proxy aggregation widths, slot-monitor wait times,
 //     queue-operation service latencies) with count/sum/min/max and
 //     interpolated percentile queries.
-//   * Time series — a cycle-driven sampler polls registered gauges
-//     (queue occupancy, atomic-unit backlog, hungry/assigned lane
-//     counts, resident-wave utilization) at a configurable period and
-//     records (cycle, value) points per named series.
 //   * Windowed series — a fixed-cycle-window ring (sim/timeseries.h)
-//     aggregating gauges, counter deltas, and event accumulations per
-//     window: "how much happened during [t, t+W)" with bounded memory
-//     and oldest-first overwrite. Registered/fed through the
-//     window_*/record_window members below; exported under "windows".
+//     aggregating gauges, counter deltas and event accumulations per
+//     window: "how much happened during [t, t+W)", with bounded memory
+//     and oldest-first overwrite. They are the only time series, and
+//     are exported under "windows".
 //
-// Attach to a device like the tracer (Device::attach_telemetry); the
-// event loop drives sampling as simulated time advances. Sampled points
-// can additionally be mirrored into a TraceRecorder as Chrome/Perfetto
-// counter tracks ("ph":"C") so they render alongside the wave slices.
-// Exporters produce a single JSON artifact and CSV tables (via
-// util/csv) for external plotting.
+// Telemetry is a view of the device's queue-protocol stream
+// (sim/protocol_stream.h). Producers emit steps that carry cycles,
+// widths and retry counts and name no metric; the stream hands the
+// values to this view as StepMetrics. The view owns the metric names,
+// the dev<N>. prefix, which metrics are also binned into windows, the
+// per-band stall suffixes and the per-wave lane census, and resolves
+// each name to its histogram or window slot once, on first use.
 //
-// Everything here is host-side bookkeeping: probes cost no simulated
-// cycles, and a detached telemetry object costs nothing at all.
+// Attach to a device with Device::attach_telemetry: the device drives
+// the window clock and attaches the view to its stream. Closed windows
+// can be mirrored into a TraceRecorder as Chrome/Perfetto counter
+// tracks ("ph":"C") so they render alongside the wave slices. Exporters
+// produce a single JSON artifact and CSV tables (via util/csv) for
+// external plotting.
+//
+// Everything here is host-side bookkeeping: it costs no simulated
+// cycles, and a detached telemetry costs one branch per step.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -102,19 +105,30 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-// One recorded point of a time series.
-struct Sample {
-  Cycle cycle = 0;
-  std::uint64_t value = 0;
+// The distributions the protocol stream's steps feed: the shapes
+// behind the paper's totals. The view names each one; the slot wait and
+// the publish stall are binned into windows under the same name.
+enum class StepMetric : std::uint8_t {
+  kDequeueLatency,      // queue.dequeue_latency: slot acquisition, cycles
+  kEnqueueLatency,      // queue.enqueue_latency: publish incl. its flush
+  kSlotWait,            // queue.slot_wait: claim to dna sentinel clearing
+  kCasRetryRun,         // queue.cas_retry_run: failed CASes per loop
+  kAggWidthDequeue,     // queue.agg_width_dequeue: tickets per proxy claim
+  kAggWidthEnqueue,     // queue.agg_width_enqueue: tokens per proxy batch
+  // queue.publish_stall: cycles from a token's Rear reservation to its
+  // write, for tokens that survived at least one failed flush round.
+  kPublishStall,
+  kXferAggWidth,        // xfer.agg_width: tokens per transfer batch
+  kXferEnqueueLatency,  // xfer.enqueue_latency: transfer publish, cycles
 };
+inline constexpr std::size_t kStepMetrics =
+    static_cast<std::size_t>(StepMetric::kXferEnqueueLatency) + 1;
 
 class Telemetry {
  public:
   struct Options {
-    Cycle sample_period = 2048;        // cycles between sampler ticks
-    std::size_t max_samples = 1 << 16;  // per-series cap (then drops)
-    Cycle window_cycles = 4096;         // windowed-series aggregation width
-    std::size_t max_windows = 16384;    // per-windowed-series ring capacity
+    Cycle window_cycles = 4096;       // windowed-series aggregation width
+    std::size_t max_windows = 16384;  // per-windowed-series ring capacity
   };
 
   Telemetry() : Telemetry(Options{}) {}
@@ -122,25 +136,31 @@ class Telemetry {
       : options_(options),
         windows_(TimeSeriesStore::Options{options.window_cycles,
                                           options.max_windows}) {}
+  // Handles and the lane-census gauges point into the instance.
+  Telemetry(const Telemetry&) = delete;
+  Telemetry& operator=(const Telemetry&) = delete;
 
   [[nodiscard]] const Options& options() const { return options_; }
 
   // ---- Name prefix (multi-device namespacing) ----
-  // Every histogram/series/gauge/shard name is stored (and looked up)
+  // Every histogram and windowed-series name is stored (and looked up)
   // with this prefix prepended. The cluster runtime gives each device's
   // telemetry a "dev<N>." prefix so merging per-device instances into
   // one sink cannot collide; single-device runs keep the empty prefix
   // and therefore the exact metric names earlier baselines recorded.
-  void set_prefix(std::string prefix) { prefix_ = std::move(prefix); }
+  void set_prefix(std::string prefix) {
+    prefix_ = std::move(prefix);
+    drop_handles();
+  }
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
 
   // Folds another telemetry instance into this one: histograms merge by
-  // name, series points append (up to this instance's max_samples),
-  // drop counts accumulate. Meta and probes are not transferred — they
-  // describe the source instance's configuration, not its data.
+  // name and windowed series append (ring bounds apply). Meta and probes
+  // are not transferred — they describe the source instance's
+  // configuration, not its data.
   void merge_from(const Telemetry& other);
 
-  // ---- Histograms (find-or-create by name) ----
+  // ---- Histograms (find-or-create by name; prefix applies) ----
   Histogram& histogram(std::string_view name);
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
   [[nodiscard]] const std::map<std::string, Histogram, std::less<>>& histograms()
@@ -148,17 +168,21 @@ class Telemetry {
     return histograms_;
   }
 
-  // ---- Gauges: polled on every sampler tick ----
-  // A gauge returns the current value of its series; `now` is the
-  // sampling cycle (for rate-style gauges keeping their own history).
-  using Gauge = std::function<std::uint64_t(Cycle now)>;
-  void register_gauge(std::string_view name, Gauge fn);
-
-  // Sharded gauge: independent writers (one per wave slot) each publish
-  // their share; the sampled series value is the sum over shards. This
-  // is how per-wave kernel state (hungry/assigned lane counts) becomes
-  // a device-wide series without the waves coordinating.
-  void set_shard(std::string_view name, std::uint32_t shard, std::uint64_t value);
+  // ---- Protocol-stream view (fed by ProtocolStream) ----
+  // One value of a step metric: its histogram and, for the windowed
+  // ones, the open window.
+  void record(StepMetric metric, std::uint64_t value);
+  // A stalled publish in priority band `band` of a banded ring: the
+  // per-band window queue.band_stall.b<band>.
+  void record_band_stall(std::uint64_t band, std::uint64_t cycles);
+  // Wave `wave`'s lane census at one work cycle. The windows
+  // lanes.hungry and lanes.assigned take the sum over waves of each
+  // wave's latest census at every window close.
+  void note_lanes(std::uint32_t wave, std::uint64_t hungry,
+                  std::uint64_t assigned);
+  // Creates a step metric's histogram now, so that it reaches the
+  // export even when the run never records a value.
+  void declare(StepMetric metric) { (void)step_histogram(metric); }
 
   // ---- Windowed series (sim/timeseries.h; prefix applies) ----
   // Sampled once at each window close.
@@ -170,56 +194,34 @@ class Telemetry {
                                TimeSeriesStore::Gauge fn) {
     windows_.register_counter(prefix_ + std::string(name), std::move(fn));
   }
-  // Accumulates into the open window (event-shaped signals).
-  void window_add(std::string_view name, std::uint64_t value) {
-    windows_.add(prefix_.empty() ? std::string(name)
-                                 : prefix_ + std::string(name),
-                 value);
-  }
   // Appends one closed window directly (host-driven series, e.g. the
   // cluster router's per-superstep deltas).
   void record_window(std::string_view name, Cycle cycle, std::uint64_t value) {
     windows_.record_window(prefix_ + std::string(name), cycle, value);
   }
   [[nodiscard]] const TimeSeriesStore& windows() const { return windows_; }
-  [[nodiscard]] TimeSeriesStore& windows() { return windows_; }
+
+  // ---- Window clock (driven by Device's event loop) ----
+  // Closes every window boundary crossed by `now`.
+  void on_advance(Cycle now) { windows_.on_advance(now); }
   // Closes the partial open window (the device calls this at launch end
   // so the run's tail is never silently missing from the timeline).
   void flush_windows(Cycle now) { windows_.flush(now); }
 
-  // Drops all gauges and shard registrations (recorded data stays) and
-  // restarts the sampling clock, since the next probed run begins at
-  // cycle 0. Re-registration is required after the probed objects are
-  // destroyed — e.g. when a queue-full retry rebuilds the device.
+  // Drops every window probe, the lane census and the pending window
+  // sums (recorded data stays) and restarts the window clock, since the
+  // next probed run begins at cycle 0. Re-registration is required after
+  // the probed objects are destroyed — e.g. when a queue-full retry
+  // rebuilds the device.
   void clear_probes();
 
-  // ---- Sampling (driven by Device's event loop) ----
-  // Samples at most once per sample_period; cheap no-op in between.
-  // Also closes windowed-series windows as boundaries are crossed.
-  void on_advance(Cycle now) {
-    windows_.on_advance(now);
-    if (now >= next_sample_) sample_now(now);
-  }
-  // Forces a sample at `now` (used to flush final state at launch end).
-  void sample_now(Cycle now);
-
-  // Mirrors every sampled point (and every closed window, as a
-  // "win."-prefixed track) into `tracer` as counter-track events
-  // (nullptr disables). Not owned.
+  // Mirrors every closed window into `tracer` as a "win."-prefixed
+  // counter track (nullptr disables). Not owned.
   void mirror_counters_to(TraceRecorder* tracer) {
-    mirror_ = tracer;
     windows_.mirror_counters_to(tracer);
   }
 
-  [[nodiscard]] const std::map<std::string, std::vector<Sample>, std::less<>>&
-  series() const {
-    return series_;
-  }
-  // Points not recorded because a series hit max_samples.
-  [[nodiscard]] std::uint64_t dropped_samples() const { return dropped_samples_; }
-  [[nodiscard]] Cycle sample_period() const { return options_.sample_period; }
-
-  // Clears recorded histograms and series (probes stay registered,
+  // Clears recorded histograms and windows (probes stay registered,
   // metadata stays attached).
   void reset_data();
 
@@ -236,31 +238,42 @@ class Telemetry {
   }
 
   // ---- Exporters ----
-  // One self-contained JSON artifact: histograms (summary + non-empty
-  // buckets + p50/p90/p99) and every time series.
+  // One self-contained JSON artifact: meta, histograms (summary +
+  // non-empty buckets + p50/p90/p99) and the windowed series.
   [[nodiscard]] std::string to_json() const;
   bool write_json(const std::string& path) const;
 
   // CSV tables (util/csv): one row per non-empty histogram bucket /
-  // one row per series point / one row per closed window.
+  // one row per closed window.
   [[nodiscard]] std::string histograms_csv() const;
-  [[nodiscard]] std::string series_csv() const;
   [[nodiscard]] std::string windows_csv() const { return windows_.to_csv(); }
 
  private:
+  // A step metric's histogram and window slot, resolved on first use.
+  struct StepSlot {
+    Histogram* histogram = nullptr;
+    std::uint64_t* window = nullptr;
+  };
+
   Options options_;
   TimeSeriesStore windows_;
   std::string prefix_;
   std::map<std::string, std::string, std::less<>> meta_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-  std::map<std::string, std::vector<Sample>, std::less<>> series_;
-  std::vector<std::pair<std::string, Gauge>> gauges_;
-  std::map<std::string, std::vector<std::uint64_t>, std::less<>> shards_;
-  TraceRecorder* mirror_ = nullptr;
-  Cycle next_sample_ = 0;
-  std::uint64_t dropped_samples_ = 0;
+  std::array<StepSlot, kStepMetrics> steps_{};
+  std::vector<std::uint64_t*> band_stalls_;  // window slot per band
+  struct LaneCensus {
+    std::uint64_t hungry = 0;
+    std::uint64_t assigned = 0;
+  };
+  std::vector<LaneCensus> lanes_;  // per wave slot
 
-  void record_point(const std::string& name, Cycle now, std::uint64_t value);
+  Histogram& step_histogram(StepMetric metric);
+  // Forgets every resolved slot; the next record resolves it again.
+  void drop_handles() {
+    steps_ = {};
+    band_stalls_.clear();
+  }
 };
 
 }  // namespace simt

@@ -58,12 +58,12 @@ void TimeSeriesStore::register_counter(std::string name, Gauge fn) {
   counters_.push_back(std::move(probe));
 }
 
-void TimeSeriesStore::add(std::string_view name, std::uint64_t value) {
+std::uint64_t& TimeSeriesStore::accumulator(std::string_view name) {
   auto it = accum_.find(name);
   if (it == accum_.end()) {
     it = accum_.emplace(std::string(name), std::uint64_t{0}).first;
   }
-  it->second += value;
+  return it->second;
 }
 
 void TimeSeriesStore::push(const std::string& name, Cycle start,

@@ -1,12 +1,12 @@
 // Windowed time-series: fixed-cycle-window aggregation of gauges,
 // counter deltas, and event accumulators, stored in a bounded ring.
 //
-// The sampled series in sim/telemetry.h answer "what was the value at
-// cycle t" for polled gauges; they cannot answer "how much happened
-// *during* [t, t+W)" for event-shaped signals (publish stalls, CAS
-// retries, router steals), and their per-series cap drops the *end* of
-// a long run — exactly the part a timeline diagnosis needs. The
-// windowed layer fixes both:
+// These are the simulator's only time series. A point sample answers
+// "what was the value at cycle t" for a polled gauge; it cannot answer
+// "how much happened *during* [t, t+W)" for event-shaped signals
+// (publish stalls, slot waits, router steals), and a capped list of
+// samples drops the *end* of a long run — exactly the part a timeline
+// diagnosis needs. The windowed layer answers both:
 //
 //   * Time is cut into fixed windows of `window_cycles`. Every series
 //     records one value per window, stamped with the window's start
@@ -15,8 +15,9 @@
 //       gauge    — a callback sampled once, at the window's close;
 //       counter  — a callback returning a monotonic cumulative count;
 //                  the recorded value is the delta across the window;
-//       add()    — explicit accumulation from instrumented code; the
-//                  recorded value is the sum of adds in the window.
+//       add()    — explicit accumulation (the telemetry view's step
+//                  metrics); the recorded value is the sum of adds in
+//                  the window.
 //   * Storage is a per-series ring of `max_windows` entries. When a
 //     series outgrows its ring the *oldest* window is overwritten (the
 //     recent past is what a dashboard reads) and the loss is counted in
@@ -29,9 +30,10 @@
 // Perfetto renders the timeline alongside the wave slices.
 //
 // Everything here is host-side bookkeeping and costs no simulated
-// cycles. simt::Telemetry owns one store and drives it from the device
-// event loop; host-side runtimes (the cluster router) append
-// per-superstep windows directly via record_window().
+// cycles. simt::Telemetry owns one store, driven by the device event
+// loop, and feeds its accumulators from the protocol stream through
+// handles (accumulator()); host-side runtimes (the cluster router)
+// append per-superstep windows directly via record_window().
 #pragma once
 
 #include <cstdint>
@@ -80,7 +82,12 @@ class TimeSeriesStore {
   // Accumulates into the currently open window; the window value is the
   // sum of adds. A series accumulated this way records only windows in
   // which at least one add() happened (event-shaped signals are sparse).
-  void add(std::string_view name, std::uint64_t value);
+  void add(std::string_view name, std::uint64_t value) {
+    accumulator(name) += value;
+  }
+  // The open-window sum add(name, ...) accumulates into, created on
+  // first use. The reference stays valid until clear_probes().
+  std::uint64_t& accumulator(std::string_view name);
 
   // Appends one already-closed window to `name` directly (host-driven
   // series, e.g. per-superstep router deltas). `cycle` stamps the

@@ -1,7 +1,6 @@
 #include "tasks/attempts.h"
 
 #include "core/black_box.h"
-#include "core/telemetry_probes.h"
 
 namespace scq::tasks {
 
@@ -38,9 +37,7 @@ AttemptsResult run_attempts(const simt::DeviceConfig& config,
       dev.attach_task_trace(sinks.task_trace);
     }
     if (sinks.telemetry) {
-      sinks.telemetry->clear_probes();
       sinks.telemetry->mirror_counters_to(sinks.trace);
-      register_scheduler_probes(*sinks.telemetry, dev, *queue);
       dev.attach_telemetry(sinks.telemetry);
     }
     if (sinks.profiler) dev.attach_profiler(sinks.profiler);

@@ -27,7 +27,7 @@ namespace scq::tasks {
 // and runs (the caller owns Telemetry::reset_data), while the trace,
 // history and task trace are cleared per attempt and so hold exactly
 // the attempt that produced the reported result. When both telemetry
-// and trace are given, sampled telemetry series are mirrored into the
+// and trace are given, closed telemetry windows are mirrored into the
 // trace as Perfetto counter tracks. The profiler accumulates across
 // attempts and runs (the caller owns reset()). The flight recorder is
 // the harness's own, one per attempt, so an aborted attempt always

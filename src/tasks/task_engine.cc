@@ -57,12 +57,7 @@ Kernel<void> engine_wave(Wave& w, DeviceQueue& queue,
       co_await queue.acquire_slots(w, st);
     }
 
-    if (simt::Telemetry* probes = probe_sink(w)) {
-      probes->set_shard(tel::kHungryLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.hungry)));
-      probes->set_shard(tel::kAssignedLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.assigned)));
-    }
+    w.device().protocol().lanes(w, st.hungry, st.assigned);
 
     // Dequeue phase 2: non-atomic arrival check; arrived lanes run the
     // client's prolog.
@@ -147,6 +142,12 @@ simt::RunResult run_task_waves(simt::Device& dev, DeviceQueue& queue,
   const std::uint32_t workgroups = options.num_workgroups != 0
                                        ? options.num_workgroups
                                        : dev.config().resident_waves();
+  // Standard gauges against this (device, queue) pair, replacing any
+  // probes from a previous run whose objects may be gone.
+  if (simt::Telemetry* telemetry = dev.telemetry()) {
+    telemetry->clear_probes();
+    register_scheduler_probes(*telemetry, dev, queue);
+  }
   return dev.launch(workgroups, task_wave_kernel(queue, factory, options));
 }
 
@@ -427,13 +428,6 @@ simt::RunResult run_host_tasks(simt::Device& dev, DeviceQueue& queue,
     tokens.push_back(pack_task_checked(s.payload, s.band));
   }
   queue.seed(dev, tokens);
-
-  // Standard gauges against this (device, queue) pair, replacing any
-  // probes from a previous run whose objects may be gone.
-  if (simt::Telemetry* probes = dev.telemetry()) {
-    probes->clear_probes();
-    register_scheduler_probes(*probes, dev, queue);
-  }
 
   HostTaskShared shared(dev, queue, task, options);
   TaskEngineOptions eng;

@@ -143,7 +143,9 @@ simt::KernelFactory task_wave_kernel(DeviceQueue& queue,
 
 // Launches task_wave_kernel to termination over an already-seeded queue.
 // The caller owns device construction, seeding, and any observability
-// attachment.
+// attachment; this registers the scheduler probes
+// (core/telemetry_probes.h) on the device's telemetry, if any, for every
+// single-device run.
 simt::RunResult run_task_waves(simt::Device& dev, DeviceQueue& queue,
                                const TaskWaveClientFactory& factory,
                                const TaskEngineOptions& options = {});
@@ -224,8 +226,7 @@ struct HostTaskOptions {
 
 // Runs host-callback tasks on an existing device + queue (for callers
 // that bring their own, such as the fuzz harness with its schedule-
-// perturbed device and deliberately tiny ring). Seeds the queue itself
-// and registers the scheduler probes on the device's telemetry.
+// perturbed device and deliberately tiny ring). Seeds the queue itself.
 // `stats` (optional) receives the run's framework statistics.
 simt::RunResult run_host_tasks(simt::Device& dev, DeviceQueue& queue,
                                std::span<const TaskSeed> seeds,

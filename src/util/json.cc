@@ -201,9 +201,10 @@ std::map<std::string, double> flatten_metrics(const JsonValue& doc) {
         }
       }
     }
-    if (doc.has("dropped_samples") &&
-        doc.at("dropped_samples").kind == JsonValue::Kind::kNumber) {
-      out["dropped_samples"] = doc.at("dropped_samples").number;
+    if (doc.has("windows") && doc.at("windows").has("dropped_windows") &&
+        doc.at("windows").at("dropped_windows").kind ==
+            JsonValue::Kind::kNumber) {
+      out["dropped_windows"] = doc.at("windows").at("dropped_windows").number;
     }
     return out;
   }

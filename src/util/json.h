@@ -50,7 +50,7 @@ inline constexpr const char* kHistogramSummaryKeys[] = {
 //   - bench JSON ({"bench":..., "metrics":{...}}): each metrics entry;
 //   - telemetry JSON ({"histograms":{...}, ...}): per histogram the
 //     kHistogramSummaryKeys summary, dot-joined ("enq_latency.p99"),
-//     plus the top-level dropped_samples;
+//     plus the windows' dropped_windows;
 //   - anything else: every numeric leaf, dot-joined path, arrays
 //     skipped (bucket vectors are shape, not metrics).
 // Shared by the perf-regression guard (util/perf_diff.h) and the bench

@@ -264,7 +264,7 @@ TEST(ClusterTest, SsspReRunsAreBitExact) {
 TEST(ClusterTest, TelemetryIsDevicePrefixedOnlyWhenMultiDevice) {
   const graph::Graph g = make_graph("kary");
 
-  simt::Telemetry multi(simt::Telemetry::Options{.sample_period = 256});
+  simt::Telemetry multi(simt::Telemetry::Options{.window_cycles = 256});
   ClusterBfsOptions opt;
   opt.num_devices = 2;
   opt.telemetry = &multi;
@@ -277,9 +277,13 @@ TEST(ClusterTest, TelemetryIsDevicePrefixedOnlyWhenMultiDevice) {
     dev1 |= name.starts_with("dev1.");
     unprefixed |= !name.starts_with("dev");
   }
-  for (const auto& [name, series] : multi.series()) {
+  // The router and imbalance windows describe the whole cluster and
+  // stay on the unprefixed sink; every device series is namespaced.
+  for (const std::string& name : multi.windows().series_names()) {
     dev0 |= name.starts_with("dev0.");
     dev1 |= name.starts_with("dev1.");
+    unprefixed |= !name.starts_with("dev") && !name.starts_with("router.") &&
+                  !name.starts_with("cluster.");
   }
   EXPECT_TRUE(dev0);
   EXPECT_TRUE(dev1);
@@ -287,14 +291,14 @@ TEST(ClusterTest, TelemetryIsDevicePrefixedOnlyWhenMultiDevice) {
 
   // Single-device cluster metrics keep the flat single-device names, so
   // existing dashboards and baselines diff clean.
-  simt::Telemetry single(simt::Telemetry::Options{.sample_period = 256});
+  simt::Telemetry single(simt::Telemetry::Options{.window_cycles = 256});
   ClusterBfsOptions opt1;
   opt1.num_devices = 1;
   opt1.telemetry = &single;
   const ClusterBfsResult r1 = run_cluster_bfs(small_device(), g, 0, opt1);
   ASSERT_FALSE(r1.run.aborted);
-  EXPECT_FALSE(single.series().empty());
-  for (const auto& [name, series] : single.series()) {
+  EXPECT_FALSE(single.windows().empty());
+  for (const std::string& name : single.windows().series_names()) {
     EXPECT_FALSE(name.starts_with("dev")) << name;
   }
 }

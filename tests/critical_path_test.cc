@@ -348,14 +348,14 @@ TEST(PerfDiffTest, FlattensBenchAndTelemetryShapes) {
   EXPECT_EQ(bm.at("a.cycles"), 100.0);
 
   const auto telemetry = parse_json(
-      R"({"sample_period":1,"dropped_samples":2,)"
+      R"({"meta":{},)"
       R"("histograms":{"lat":{"count":3,"sum":30,"min":5,"max":15,)"
       R"("mean":10,"p50":10,"p90":15,"p99":15,"buckets":[1,2]}},)"
-      R"("series":{}})");
+      R"("windows":{"window_cycles":64,"dropped_windows":2,"series":{}}})");
   ASSERT_TRUE(telemetry.has_value());
   const auto tm = flatten_metrics(*telemetry);
   EXPECT_EQ(tm.at("lat.p99"), 15.0);
-  EXPECT_EQ(tm.at("dropped_samples"), 2.0);
+  EXPECT_EQ(tm.at("dropped_windows"), 2.0);
   EXPECT_EQ(tm.count("lat.buckets"), 0u) << "bucket shape is not a metric";
 }
 

@@ -197,6 +197,47 @@ TEST(LockedStackTest, PublishDeadlockAbortsViaDetector) {
   EXPECT_NE(result.abort_reason.find("queue full"), std::string::npos);
 }
 
+TEST(LockedStackTest, OverflowPushesReachNoTicketKeyedView) {
+  // Stack pushes carry no ticket (the LIFO reuses its indices), so the
+  // tokens a full stack parks must reach neither the op history as
+  // reservations nor the recorder's parked table, where a wait whose
+  // write never names its ticket would outlive the run. Their stall time
+  // still reaches telemetry.
+  Device dev(simt::spectre_config());
+  simt::OpHistory history;
+  simt::FlightRecorder recorder;
+  simt::Telemetry telemetry;
+  dev.attach_op_history(&history);
+  dev.attach_flight_recorder(&recorder);
+  dev.attach_telemetry(&telemetry);
+  LockedStack stack(make_device_queue(dev, 8));
+  std::uint64_t next_id = 1;
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};
+  const auto result = tasks::run_host_tasks(
+      dev, stack, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
+        if ((token & 0xff) < 5) {
+          for (int i = 0; i < 3; ++i) {
+            ctx.spawn((next_id++ << 8) | ((token & 0xff) + 1), 0);
+          }
+        }
+      });
+  ASSERT_FALSE(result.aborted) << result.abort_reason;
+  ASSERT_GT(result.stats.user[kPublishStalls], 0u) << "the stack must overflow";
+
+  EXPECT_TRUE(history.snapshot().empty());
+  EXPECT_TRUE(recorder.parked().empty())
+      << "a clean run leaves no parked wait behind";
+  std::size_t reserves = 0;
+  for (const simt::FlightEvent& e : recorder.snapshot()) {
+    reserves += e.kind == simt::FlightKind::kReserve;
+  }
+  EXPECT_EQ(reserves, 0u);
+  const simt::Histogram* stall = telemetry.find_histogram("queue.publish_stall");
+  ASSERT_NE(stall, nullptr);
+  EXPECT_GT(stall->count(), 0u);
+}
+
 // ---- DistributedQueue ----
 
 TEST(DistributedQueueTest, PartitionsCapacity) {

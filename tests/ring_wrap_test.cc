@@ -49,16 +49,17 @@ std::string variant_name(QueueVariant v) {
   }
 }
 
-// Asserts the sampled ring-residency series never exceeded capacity.
+// Asserts the windowed ring-residency series never exceeded capacity.
 void expect_residency_bounded(const simt::Telemetry& telemetry,
                               std::uint64_t capacity) {
-  const auto& series = telemetry.series();
-  const auto it = series.find(std::string(tel::kResidentTokens));
-  ASSERT_NE(it, series.end()) << "resident-tokens gauge must be sampled";
-  ASSERT_FALSE(it->second.empty());
-  for (const auto& sample : it->second) {
+  const std::vector<simt::WindowSample> series =
+      telemetry.windows().series(tel::kResidentTokens);
+  ASSERT_FALSE(series.empty()) << "resident-tokens gauge must be sampled";
+  for (const simt::WindowSample& sample : series) {
     ASSERT_LE(sample.value, capacity)
-        << "ring residency exceeded capacity at cycle " << sample.cycle;
+        << "ring residency exceeded capacity at the close of the window "
+           "starting at cycle "
+        << sample.start;
   }
 }
 
@@ -68,7 +69,7 @@ class RingWrapTest
 TEST_P(RingWrapTest, TreeWorkloadSurvivesManyEpochs) {
   const auto [variant, capacity] = GetParam();
   Device dev(test_config());
-  simt::Telemetry telemetry(simt::Telemetry::Options{.sample_period = 256});
+  simt::Telemetry telemetry(simt::Telemetry::Options{.window_cycles = 256});
   dev.attach_telemetry(&telemetry);
   auto queue = make_scheduler(dev, variant, capacity);
 
@@ -214,7 +215,7 @@ TEST(RingWrapTelemetryTest, PublishStallHistogramReachesJsonExport) {
   // non-zero publish-stall samples, and the histogram (plus the
   // resident-tokens series) must appear in the JSON artifact.
   Device dev(test_config());
-  simt::Telemetry telemetry(simt::Telemetry::Options{.sample_period = 256});
+  simt::Telemetry telemetry(simt::Telemetry::Options{.window_cycles = 256});
   dev.attach_telemetry(&telemetry);
   auto queue = make_scheduler(dev, QueueVariant::kRfan, 8);
 
@@ -231,12 +232,12 @@ TEST(RingWrapTelemetryTest, PublishStallHistogramReachesJsonExport) {
       });
   ASSERT_FALSE(result.aborted) << result.abort_reason;
 
-  const simt::Histogram* stall = telemetry.find_histogram(tel::kPublishStall);
+  const simt::Histogram* stall = telemetry.find_histogram("queue.publish_stall");
   ASSERT_NE(stall, nullptr);
   EXPECT_GT(stall->count(), 0u)
       << "stalled publishes must land in the stall histogram";
   const std::string json = telemetry.to_json();
-  EXPECT_NE(json.find(tel::kPublishStall), std::string::npos);
+  EXPECT_NE(json.find("queue.publish_stall"), std::string::npos);
   EXPECT_NE(json.find(tel::kResidentTokens), std::string::npos);
 }
 

@@ -92,7 +92,10 @@ FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
   dev.attach_op_history(&history);
   simt::FlightRecorder recorder;
   dev.attach_flight_recorder(&recorder);
-  if (views != nullptr) dev.attach_task_trace(&views->task_trace);
+  if (views != nullptr) {
+    dev.attach_task_trace(&views->task_trace);
+    dev.attach_telemetry(views->telemetry);
+  }
 
   std::unique_ptr<DeviceQueue> queue;
   std::uint64_t mq_bands = 1;

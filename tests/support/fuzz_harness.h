@@ -77,6 +77,8 @@ struct CaseViews {
   simt::TaskTrace task_trace;
   std::string recorder_json;
   std::vector<simt::FlightEvent> recorder_events;
+  // Attached to the case's device when set (not owned).
+  simt::Telemetry* telemetry = nullptr;
 };
 
 // raw_history (optional) receives the recorded OpHistory snapshot —

@@ -1,6 +1,7 @@
 // Tests for the telemetry subsystem: histogram bucket boundaries and
-// percentile math, the cycle-driven sampler (period, rollover, shards,
-// caps), device integration, and a JSON round-trip that parses the
+// percentile math, the protocol-stream view (step metrics, the prefix,
+// the lane census, handle resolution across clear_probes), device
+// integration of the windows, and a JSON round-trip that parses the
 // exported artifacts with the shared util/json.h parser (which started
 // life in this file before being promoted for the perf-diff tooling).
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "sim/device.h"
+#include "sim/protocol_stream.h"
 #include "sim/telemetry.h"
 #include "sim/trace.h"
 #include "util/json.h"
@@ -118,85 +120,92 @@ TEST(HistogramTest, MergeAndReset) {
   EXPECT_EQ(a.max(), 0u);
 }
 
-// ---- Sampler ------------------------------------------------------------
-
-TEST(TelemetryTest, SamplerHonorsPeriod) {
-  Telemetry t({.sample_period = 100, .max_samples = 1024});
-  t.register_gauge("g", [](Cycle now) { return now; });
-
-  // Dense advance: one sample per period despite many ticks.
-  for (Cycle c = 0; c <= 1000; ++c) t.on_advance(c);
-  const auto& points = t.series().at("g");
-  ASSERT_EQ(points.size(), 11u) << "cycles 0,100,...,1000";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(points[i].cycle, i * 100);
-    EXPECT_EQ(points[i].value, i * 100);
-  }
-}
-
-TEST(TelemetryTest, SamplerRollsOverSparseTime) {
-  // Discrete-event time jumps; a jump over several periods yields ONE
-  // sample (at the jump target), then realigns to the next period.
-  Telemetry t({.sample_period = 100, .max_samples = 1024});
-  t.register_gauge("g", [](Cycle) { return 7; });
-  t.on_advance(5);     // first sample (clock starts due)
-  t.on_advance(450);   // jumped 4 periods: one sample, next due at 500
-  t.on_advance(460);   // not due
-  t.on_advance(500);   // due again
-  const auto& points = t.series().at("g");
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[0].cycle, 5u);
-  EXPECT_EQ(points[1].cycle, 450u);
-  EXPECT_EQ(points[2].cycle, 500u);
-}
+// ---- Protocol-stream view and windows ---------------------------------
 
 TEST(TelemetryTest, ShardedGaugesSumAcrossWriters) {
-  Telemetry t({.sample_period = 10, .max_samples = 16});
-  t.set_shard("lanes", 0, 3);
-  t.set_shard("lanes", 5, 4);  // sparse shard ids are fine
-  t.sample_now(0);
-  t.set_shard("lanes", 0, 1);  // overwrite, not accumulate
-  t.sample_now(10);
-  const auto& points = t.series().at("lanes");
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].value, 7u);
-  EXPECT_EQ(points[1].value, 5u);
-}
-
-TEST(TelemetryTest, MaxSamplesCapsAndCounts) {
-  Telemetry t({.sample_period = 1, .max_samples = 4});
-  t.register_gauge("g", [](Cycle) { return 1; });
-  for (Cycle c = 0; c < 10; ++c) t.sample_now(c);
-  EXPECT_EQ(t.series().at("g").size(), 4u);
-  EXPECT_EQ(t.dropped_samples(), 6u);
-  t.reset_data();
-  EXPECT_TRUE(t.series().empty());
-  EXPECT_EQ(t.dropped_samples(), 0u);
+  // The lane census: every wave publishes its own lane counts through
+  // the stream's lanes step, and the lanes.* windows hold the sum over
+  // waves at each close. A wave's newer census overwrites its older one
+  // instead of accumulating.
+  Telemetry t({.window_cycles = 10});
+  ProtocolStream stream;
+  stream.attach_telemetry(&t);
+  stream.lanes(StepActor(0, 0, 1), 0b111, 0b1);
+  stream.lanes(StepActor(5, 1, 2), 0b1111, 0b11);  // sparse wave slots
+  t.on_advance(10);
+  stream.lanes(StepActor(0, 0, 12), 0b1, 0);
+  t.on_advance(20);
+  const std::vector<WindowSample> hungry = t.windows().series("lanes.hungry");
+  ASSERT_EQ(hungry.size(), 2u);
+  EXPECT_EQ(hungry[0].value, 7u);
+  EXPECT_EQ(hungry[1].value, 5u);
+  const std::vector<WindowSample> assigned =
+      t.windows().series("lanes.assigned");
+  ASSERT_EQ(assigned.size(), 2u);
+  EXPECT_EQ(assigned[0].value, 3u);
+  EXPECT_EQ(assigned[1].value, 2u);
 }
 
 TEST(TelemetryTest, ClearProbesRestartsSamplingClock) {
-  Telemetry t({.sample_period = 100, .max_samples = 16});
-  t.register_gauge("a", [](Cycle) { return 1; });
-  t.sample_now(950);  // next tick now aligned to 1000
-  t.clear_probes();   // new run starts at cycle 0 again
-  t.register_gauge("b", [](Cycle) { return 2; });
-  t.on_advance(3);
-  EXPECT_EQ(t.series().count("b"), 1u)
+  // A new run starts at cycle 0 again: clear_probes restarts the window
+  // clock and drops the old run's gauges and open-window sums, while
+  // recorded windows survive. A step metric resolved before the clear
+  // resolves again after it.
+  Telemetry t({.window_cycles = 100});
+  t.register_window_gauge("a", [](Cycle) { return 1; });
+  t.record(StepMetric::kSlotWait, 5);
+  t.on_advance(950);  // closes nine windows
+  t.clear_probes();
+  t.register_window_gauge("b", [](Cycle) { return 2; });
+  t.record(StepMetric::kSlotWait, 7);
+  t.on_advance(100);
+  ASSERT_EQ(t.windows().series("b").size(), 1u);
+  EXPECT_EQ(t.windows().series("b")[0].start, 0u)
       << "early cycles of the new run must not be masked by the old clock";
-  EXPECT_EQ(t.series().at("a").size(), 1u) << "recorded data survives";
+  EXPECT_EQ(t.windows().series("a").size(), 9u) << "recorded data survives";
+  const std::vector<WindowSample> wait = t.windows().series("queue.slot_wait");
+  ASSERT_EQ(wait.size(), 2u);
+  EXPECT_EQ(wait[0].value, 5u);
+  EXPECT_EQ(wait[1].value, 7u);
+  EXPECT_EQ(t.find_histogram("queue.slot_wait")->count(), 2u);
 }
 
 TEST(TelemetryTest, MirrorsSamplesToTraceCounters) {
+  // Every closed window becomes a "win."-prefixed counter-track event,
+  // stamped with the window start.
   TraceRecorder trace;
-  Telemetry t({.sample_period = 10, .max_samples = 16});
+  Telemetry t({.window_cycles = 10});
   t.mirror_counters_to(&trace);
-  t.register_gauge("occ", [](Cycle now) { return now * 2; });
-  t.sample_now(0);
-  t.sample_now(10);
+  t.register_window_gauge("occ", [](Cycle now) { return now * 2; });
+  t.on_advance(20);
   ASSERT_EQ(trace.counters().size(), 2u);
-  EXPECT_EQ(trace.counters()[1].name, "occ");
+  EXPECT_EQ(trace.counters()[1].name, "win.occ");
   EXPECT_EQ(trace.counters()[1].cycle, 10u);
-  EXPECT_DOUBLE_EQ(trace.counters()[1].value, 20.0);
+  EXPECT_DOUBLE_EQ(trace.counters()[1].value, 40.0);
+}
+
+TEST(TelemetryTest, StepMetricsResolveUnderThePrefix) {
+  // The view names every step metric, applies the prefix, and bins the
+  // windowed ones: a prefix set after a record resolves afresh.
+  Telemetry t({.window_cycles = 10});
+  t.record(StepMetric::kDequeueLatency, 3);
+  t.set_prefix("dev1.");
+  t.record(StepMetric::kDequeueLatency, 4);
+  t.record(StepMetric::kXferAggWidth, 9);
+  t.record(StepMetric::kPublishStall, 6);
+  t.record_band_stall(2, 6);
+  t.declare(StepMetric::kEnqueueLatency);
+  t.on_advance(10);
+  t.set_prefix("");
+  EXPECT_EQ(t.find_histogram("queue.dequeue_latency")->sum(), 3u);
+  EXPECT_EQ(t.find_histogram("dev1.queue.dequeue_latency")->sum(), 4u);
+  EXPECT_EQ(t.find_histogram("dev1.xfer.agg_width")->max(), 9u);
+  ASSERT_NE(t.find_histogram("dev1.queue.enqueue_latency"), nullptr);
+  EXPECT_EQ(t.find_histogram("dev1.queue.enqueue_latency")->count(), 0u);
+  EXPECT_EQ(t.windows().series("dev1.queue.publish_stall").size(), 1u);
+  EXPECT_EQ(t.windows().series("dev1.queue.band_stall.b2")[0].value, 6u);
+  EXPECT_TRUE(t.windows().series("dev1.queue.dequeue_latency").empty())
+      << "only the slot wait and the publish stall are windowed";
 }
 
 // ---- Device integration -------------------------------------------------
@@ -215,39 +224,37 @@ DeviceConfig small_cfg() {
 }
 
 TEST(TelemetryTest, DeviceDrivesSampler) {
+  // The event loop closes windows as simulated time advances; the
+  // launch end closes the partial tail window.
   Device dev(small_cfg());
-  Telemetry t({.sample_period = 500, .max_samples = 1024});
-  t.register_gauge("tick", [](Cycle now) { return now; });
+  Telemetry t({.window_cycles = 500});
+  t.register_window_gauge("tick", [](Cycle now) { return now; });
   dev.attach_telemetry(&t);
   EXPECT_EQ(dev.telemetry(), &t);
   (void)dev.launch(1, [&](Wave& w) -> Kernel<void> {
     for (int i = 0; i < 10; ++i) co_await w.compute(300);
   });
-  const auto& points = t.series().at("tick");
-  ASSERT_GE(points.size(), 4u) << "several periods elapsed plus final flush";
-  // Cycles are non-decreasing; the end-of-launch flush may duplicate the
-  // last periodic sample's cycle.
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].cycle, points[i - 1].cycle);
+  const std::vector<WindowSample> windows = t.windows().series("tick");
+  ASSERT_GE(windows.size(), 4u) << "several windows elapsed plus the tail";
+  for (std::size_t i = 1; i < windows.size(); ++i) {
+    EXPECT_EQ(windows[i].start, windows[i - 1].start + 500);
   }
 }
 
 // ---- Exporters ----------------------------------------------------------
 
 TEST(TelemetryTest, JsonRoundTrips) {
-  Telemetry t({.sample_period = 50, .max_samples = 64});
+  Telemetry t({.window_cycles = 50});
   t.histogram("lat").add(3);
   t.histogram("lat").add(200, 2);
   t.histogram("weird \"name\"\n").add(1);
-  t.register_gauge("occ", [](Cycle now) { return 10 + now; });
-  t.sample_now(0);
-  t.sample_now(50);
+  t.register_window_gauge("occ", [](Cycle now) { return 10 + now; });
+  t.on_advance(100);
 
   const auto parsed = parse_json(t.to_json());
   ASSERT_TRUE(parsed.has_value()) << "export must be valid JSON";
   ASSERT_EQ(parsed->kind, JsonValue::Kind::kObject);
-  EXPECT_EQ(parsed->at("sample_period").number, 50.0);
-  EXPECT_EQ(parsed->at("dropped_samples").number, 0.0);
+  EXPECT_FALSE(parsed->has("series")) << "windows are the only time series";
 
   const JsonValue& hists = parsed->at("histograms");
   ASSERT_EQ(hists.object.size(), 2u) << "escaped name must round-trip too";
@@ -263,25 +270,26 @@ TEST(TelemetryTest, JsonRoundTrips) {
   EXPECT_EQ(top.at("high").number, 255.0);
   EXPECT_EQ(top.at("count").number, 2.0);
 
-  const JsonValue& series = parsed->at("series");
-  ASSERT_TRUE(series.has("occ"));
-  const JsonValue& occ = series.at("occ");
+  const JsonValue& windows = parsed->at("windows");
+  EXPECT_EQ(windows.at("window_cycles").number, 50.0);
+  EXPECT_EQ(windows.at("dropped_windows").number, 0.0);
+  ASSERT_TRUE(windows.at("series").has("occ"));
+  const JsonValue& occ = windows.at("series").at("occ");
   ASSERT_EQ(occ.array.size(), 2u);
   ASSERT_EQ(occ.array[1].array.size(), 2u);
-  EXPECT_EQ(occ.array[1].array[0].number, 50.0) << "[cycle, value] pairs";
-  EXPECT_EQ(occ.array[1].array[1].number, 60.0);
+  EXPECT_EQ(occ.array[1].array[0].number, 50.0) << "[start, value] pairs";
+  EXPECT_EQ(occ.array[1].array[1].number, 110.0);
 }
 
 TEST(TelemetryTest, TraceCounterEventsRoundTrip) {
-  // Telemetry samples mirrored into the tracer must come back out of the
+  // Telemetry windows mirrored into the tracer must come back out of the
   // Chrome JSON as parseable "ph":"C" counter events.
   TraceRecorder trace;
-  Telemetry t({.sample_period = 100, .max_samples = 64});
+  Telemetry t({.window_cycles = 100});
   t.mirror_counters_to(&trace);
-  t.register_gauge("queue.occupancy", [](Cycle now) { return now / 10; });
-  t.sample_now(0);
-  t.sample_now(100);
-  t.sample_now(200);
+  t.register_window_gauge("queue.occupancy",
+                          [](Cycle now) { return now / 10 - 10; });
+  t.on_advance(300);
 
   const auto parsed = parse_json(trace.to_chrome_json());
   ASSERT_TRUE(parsed.has_value()) << "trace export must be valid JSON";
@@ -295,7 +303,7 @@ TEST(TelemetryTest, TraceCounterEventsRoundTrip) {
     if (e.at("ph").str == "M") dropped = &e;
   }
   ASSERT_EQ(counters.size(), 3u);
-  EXPECT_EQ(counters[2]->at("name").str, "queue.occupancy");
+  EXPECT_EQ(counters[2]->at("name").str, "win.queue.occupancy");
   EXPECT_EQ(counters[2]->at("ts").number, 200.0);
   EXPECT_EQ(counters[2]->at("args").at("value").number, 20.0);
   ASSERT_NE(dropped, nullptr) << "drop-count metadata is always present";
@@ -304,17 +312,17 @@ TEST(TelemetryTest, TraceCounterEventsRoundTrip) {
 }
 
 TEST(TelemetryTest, CsvExports) {
-  Telemetry t({.sample_period = 10, .max_samples = 16});
+  Telemetry t({.window_cycles = 10});
   t.histogram("h").add(5);
-  t.register_gauge("s", [](Cycle) { return 9; });
-  t.sample_now(20);
+  t.register_window_gauge("s", [](Cycle) { return 9; });
+  t.on_advance(30);
   const std::string hist = t.histograms_csv();
   EXPECT_NE(hist.find("histogram,bucket_low,bucket_high,count"),
             std::string::npos);
   EXPECT_NE(hist.find("h,4,7,1"), std::string::npos);
-  const std::string series = t.series_csv();
-  EXPECT_NE(series.find("series,cycle,value"), std::string::npos);
-  EXPECT_NE(series.find("s,20,9"), std::string::npos);
+  const std::string windows = t.windows_csv();
+  EXPECT_NE(windows.find("series,window_start,value"), std::string::npos);
+  EXPECT_NE(windows.find("s,20,9"), std::string::npos);
 }
 
 TEST(TelemetryTest, WriteJsonReportsFailure) {

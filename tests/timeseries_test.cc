@@ -43,8 +43,7 @@ TEST(TimeSeriesTest, GaugeSamplesOncePerWindowAtClose) {
 
 TEST(TimeSeriesTest, SparseAdvanceClosesEveryCrossedWindow) {
   // Discrete-event time jumps several windows at once; every crossed
-  // window must still close (unlike the sampler, which records one
-  // point per period at most).
+  // window must still close, so a series has no gaps.
   TimeSeriesStore ts(small_opts());
   ts.register_gauge("g", [](Cycle) { return 7; });
   ts.on_advance(450);
@@ -195,14 +194,16 @@ TEST(TimeSeriesTest, TelemetryPrefixAppliesToEveryWindowSource) {
   t.set_prefix("dev3.");
   t.register_window_gauge("g", [](Cycle) { return 1; });
   t.register_window_counter("c", [](Cycle) { return 2; });
-  t.window_add("a", 5);
+  t.record(StepMetric::kSlotWait, 5);
+  t.record_band_stall(1, 5);
+  t.note_lanes(0, 1, 1);
   t.record_window("r", 0, 6);
   t.flush_windows(50);
   const auto names = t.windows().series_names();
   for (const std::string& n : names) {
     EXPECT_EQ(n.rfind("dev3.", 0), 0u) << "unprefixed series leaked: " << n;
   }
-  EXPECT_EQ(names.size(), 4u);
+  EXPECT_EQ(names.size(), 7u);
 }
 
 // ---- Perfetto mirroring -------------------------------------------------
@@ -222,7 +223,7 @@ TEST(TimeSeriesTest, MirrorsClosedWindowsAsPrefixedCounterTracks) {
   }
   ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0]->at("name").str, "win.queue.occupancy")
-      << "window tracks are namespaced apart from the sampled series";
+      << "window tracks carry the win. namespace";
   EXPECT_EQ(counters[1]->at("ts").number, 100.0)
       << "the track point sits at the window start";
   EXPECT_EQ(counters[1]->at("args").at("value").number, 200.0);
@@ -281,7 +282,7 @@ DeviceConfig replay_cfg() {
 std::string run_and_export_windows() {
   Device dev(replay_cfg());
   const Buffer data = dev.alloc(64);
-  Telemetry t(Telemetry::Options{.sample_period = 256, .window_cycles = 512});
+  Telemetry t(Telemetry::Options{.window_cycles = 512});
   t.register_window_gauge("tick", [](Cycle now) { return now; });
   t.register_window_counter("compute",
                             [&dev](Cycle) { return dev.stats().compute_cycles; });
