@@ -75,6 +75,11 @@ struct ViewCase {
   SimFuzzCase c;
 };
 
+// Without a printer gtest lists the case as a byte dump whose first word
+// is the name's heap address, so the discovered ctest name would change
+// on every build.
+void PrintTo(const ViewCase& vc, std::ostream* os) { *os << vc.name; }
+
 const char* variant_name(QueueVariant v) {
   switch (v) {
     case QueueVariant::kBase: return "base";

@@ -150,6 +150,9 @@ struct PinCase {
   fuzz::SimFuzzCase c;
 };
 
+// Lists the case by name, not as a byte dump holding a heap address.
+void PrintTo(const PinCase& pc, std::ostream* os) { *os << pc.name; }
+
 const char* variant_name(QueueVariant v) {
   switch (v) {
     case QueueVariant::kBase: return "base";
