@@ -313,7 +313,6 @@ class Observability {
       if (task_trace_.write_json(task_trace_path_)) {
         std::printf("task trace -> %s\n", task_trace_path_.c_str());
       } else {
-        std::fprintf(stderr, "failed to write %s\n", task_trace_path_.c_str());
         ok = false;
       }
     }
@@ -321,18 +320,16 @@ class Observability {
       if (telemetry_.write_json(telemetry_path_)) {
         std::printf("telemetry -> %s\n", telemetry_path_.c_str());
       } else {
-        std::fprintf(stderr, "failed to write %s\n", telemetry_path_.c_str());
         ok = false;
       }
       const std::string stem = strip_json_suffix(telemetry_path_);
-      ok &= write_text(stem + ".hist.csv", telemetry_.histograms_csv());
-      ok &= write_text(stem + ".windows.csv", telemetry_.windows_csv());
+      ok &= util::write_file(stem + ".hist.csv", telemetry_.histograms_csv());
+      ok &= util::write_file(stem + ".windows.csv", telemetry_.windows_csv());
     }
     if (reporting()) {
       if (build_report().write(report_path_)) {
         std::printf("report -> %s\n", report_path_.c_str());
       } else {
-        std::fprintf(stderr, "failed to write %s\n", report_path_.c_str());
         ok = false;
       }
     }
@@ -340,12 +337,11 @@ class Observability {
       if (trace_.write_chrome_json(trace_path_)) {
         std::printf("trace -> %s\n", trace_path_.c_str());
       } else {
-        std::fprintf(stderr, "failed to write %s\n", trace_path_.c_str());
         ok = false;
       }
     }
     if (!json_path_.empty()) {
-      if (write_text(json_path_, metrics_json())) {
+      if (util::write_file(json_path_, metrics_json())) {
         std::printf("metrics -> %s\n", json_path_.c_str());
       } else {
         ok = false;
@@ -558,22 +554,6 @@ class Observability {
       return path.substr(0, path.size() - kSuffix.size());
     }
     return path;
-  }
-
-  static bool write_text(const std::string& path, const std::string& body) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-      std::fprintf(stderr, "failed to open %s\n", path.c_str());
-      return false;
-    }
-    const bool written =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!(written && closed)) {
-      std::fprintf(stderr, "failed to write %s\n", path.c_str());
-      return false;
-    }
-    return true;
   }
 
   simt::Telemetry telemetry_;

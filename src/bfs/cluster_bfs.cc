@@ -11,6 +11,7 @@
 #include "cluster/token.h"
 #include "core/counters.h"
 #include "graph/sssp_ref.h"
+#include "tasks/attempts.h"
 #include "tasks/task_engine.h"
 
 namespace scq::bfs {
@@ -251,19 +252,16 @@ class ClusterClient final : public tasks::TaskWaveClient {
   std::array<std::uint64_t, kWaveWidth> own_{};
 };
 
-struct CommonResult {
-  std::vector<std::uint64_t> cost;  // authoritative word per vertex
-  cluster::ClusterRun run;
-  std::uint32_t attempts = 1;
-  std::uint64_t cut_edges = 0;
-  double degree_imbalance = 1.0;
-  std::string black_box;  // most recent aborted attempt's dump
-};
-
-CommonResult run_cluster_common(const simt::DeviceConfig& config,
-                                const graph::Graph& g, Vertex source,
-                                const ClusterBfsOptions& options,
-                                bool weighted) {
+// Runs one cluster front-end to completion under the shared retry
+// policy, fills the shared part of `result`, and returns each vertex's
+// authoritative cost word, read from its owner (empty when the final
+// attempt aborted).
+std::vector<std::uint64_t> run_cluster_common(const simt::DeviceConfig& config,
+                                              const graph::Graph& g,
+                                              Vertex source,
+                                              const ClusterBfsOptions& options,
+                                              bool weighted,
+                                              ClusterRunResult& result) {
   if (source >= g.num_vertices()) {
     throw simt::SimError("run_cluster: source out of range");
   }
@@ -277,6 +275,8 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
 
   const std::uint32_t n = options.num_devices;
   const graph::Partition part = graph::partition_graph(g, n, options.partition);
+  result.cut_edges = part.cut_edges;
+  result.degree_imbalance = part.degree_imbalance();
 
   std::uint64_t qcap = options.queue_capacity;
   if (qcap == 0) {
@@ -286,98 +286,84 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
             n,
         4 * kWaveWidth);
   }
-  std::uint64_t xcap = options.xfer_capacity != 0 ? options.xfer_capacity
-                                                  : std::uint64_t{1024};
+  const std::uint64_t xcap = options.xfer_capacity != 0 ? options.xfer_capacity
+                                                        : std::uint64_t{1024};
+  const std::uint32_t workgroups = options.num_workgroups != 0
+                                       ? options.num_workgroups
+                                       : config.resident_waves();
+  const tasks::TaskEngineOptions eng{.work_budget = options.work_budget,
+                                     .poll_interval = options.poll_interval};
 
-  std::string last_black_box;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    cluster::ClusterOptions copt;
-    copt.num_devices = n;
-    copt.quantum = options.quantum;
-    copt.balance = options.balance;
-    copt.steal_trigger = options.steal_trigger;
-    copt.variant = options.variant;
-    copt.queue_capacity = qcap;
-    copt.xfer_capacity = xcap;
-    copt.telemetry = options.telemetry;
-    copt.task_trace = options.task_trace;
+  std::vector<std::uint64_t> cost;
+  tasks::RetryResult retry = tasks::retry_doubling(
+      [&](std::uint64_t scale) -> std::optional<std::string> {
+        cluster::ClusterOptions copt = options;
+        copt.queue_capacity = qcap * scale;
+        copt.xfer_capacity = xcap * scale;
 
-    // The sink trace is cleared per attempt (as in run_pt_bfs) so it
-    // holds exactly the merged per-device run that produced the result.
-    if (options.task_trace != nullptr) options.task_trace->clear();
+        // The sink trace is cleared per attempt (as in run_pt_bfs) so it
+        // holds exactly the merged per-device run that produced the
+        // result.
+        if (options.task_trace != nullptr) options.task_trace->clear();
 
-    cluster::Cluster cl(config, copt);
-    if (options.task_trace != nullptr) {
-      stamp_task_meta(*options.task_trace, cl.queue(0));
-      options.task_trace->set_meta("devices", std::to_string(n));
-    }
-
-    std::vector<DeviceCtx> ctx(n);
-    for (std::uint32_t d = 0; d < n; ++d) {
-      simt::Device& dev = cl.device(d);
-      ctx[d].g = upload_graph(dev, g);
-      if (n > 1) {
-        ctx[d].owner = dev.alloc(std::max<std::uint64_t>(g.num_vertices(), 1));
-        std::vector<std::uint64_t> owner_words(g.num_vertices());
-        for (Vertex v = 0; v < g.num_vertices(); ++v) {
-          owner_words[v] = part.owner[v];
+        cluster::Cluster cl(config, copt);
+        if (options.task_trace != nullptr) {
+          stamp_task_meta(*options.task_trace, cl.queue(0));
+          options.task_trace->set_meta("devices", std::to_string(n));
         }
-        dev.write(ctx[d].owner, owner_words);
-      }
-      ctx[d].dev_index = d;
-      ctx[d].num_devices = n;
-      ctx[d].weighted = weighted;
-      ctx[d].work_budget = options.work_budget;
-      for (std::uint32_t dst = 0; dst < n; ++dst) {
-        if (dst != d) ctx[d].rings[dst] = &cl.ring(d, dst);
-      }
-    }
 
-    // Seed the source at its owner: cost word 0 plus one kLocal token.
-    const std::uint32_t owner_dev = part.owner[source];
-    cl.device(owner_dev).write_word(ctx[owner_dev].g.cost.at(source), 0);
-    const std::uint64_t seed[] = {
-        cluster::pack_token(cluster::TokenKind::kLocal, 0, source)};
-    cl.queue(owner_dev).seed(cl.device(owner_dev), seed);
+        std::vector<DeviceCtx> ctx(n);
+        for (std::uint32_t d = 0; d < n; ++d) {
+          simt::Device& dev = cl.device(d);
+          ctx[d].g = upload_graph(dev, g);
+          if (n > 1) {
+            ctx[d].owner =
+                dev.alloc(std::max<std::uint64_t>(g.num_vertices(), 1));
+            std::vector<std::uint64_t> owner_words(g.num_vertices());
+            for (Vertex v = 0; v < g.num_vertices(); ++v) {
+              owner_words[v] = part.owner[v];
+            }
+            dev.write(ctx[d].owner, owner_words);
+          }
+          ctx[d].dev_index = d;
+          ctx[d].num_devices = n;
+          ctx[d].weighted = weighted;
+          ctx[d].work_budget = options.work_budget;
+          for (std::uint32_t dst = 0; dst < n; ++dst) {
+            if (dst != d) ctx[d].rings[dst] = &cl.ring(d, dst);
+          }
+        }
 
-    const std::uint32_t workgroups = options.num_workgroups != 0
-                                         ? options.num_workgroups
-                                         : config.resident_waves();
-    const tasks::TaskEngineOptions eng{.work_budget = options.work_budget,
-                                       .poll_interval = options.poll_interval};
-    cluster::ClusterRun crun = cl.run(
-        [&](std::uint32_t d) {
-          return tasks::task_wave_kernel(
-              cl.queue(d),
-              [ctxp = &ctx[d], stop = cl.stop_flag(d)](Wave&) {
-                return std::make_unique<ClusterClient>(*ctxp, stop);
-              },
-              eng);
-        },
-        workgroups);
+        // Seed the source at its owner: cost word 0 plus one kLocal
+        // token.
+        const std::uint32_t owner_dev = part.owner[source];
+        cl.device(owner_dev).write_word(ctx[owner_dev].g.cost.at(source), 0);
+        const std::uint64_t seed[] = {
+            cluster::pack_token(cluster::TokenKind::kLocal, 0, source)};
+        cl.queue(owner_dev).seed(cl.device(owner_dev), seed);
 
-    if (crun.aborted) last_black_box = crun.black_box;
-    if (crun.aborted && attempt < 8) {
-      qcap *= 2;
-      xcap *= 2;
-      continue;
-    }
+        result.run = cl.run(
+            [&](std::uint32_t d) {
+              return tasks::task_wave_kernel(
+                  cl.queue(d),
+                  [ctxp = &ctx[d], stop = cl.stop_flag(d)](Wave&) {
+                    return std::make_unique<ClusterClient>(*ctxp, stop);
+                  },
+                  eng);
+            },
+            workgroups);
+        if (result.run.aborted) return result.run.black_box;
 
-    CommonResult result;
-    result.attempts = attempt;
-    result.black_box = std::move(last_black_box);
-    result.cut_edges = part.cut_edges;
-    result.degree_imbalance = part.degree_imbalance();
-    if (!crun.aborted) {
-      result.cost.resize(g.num_vertices());
-      for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        const std::uint32_t d = part.owner[v];
-        result.cost[v] = cl.device(d).read_word(ctx[d].g.cost.at(v));
-      }
-    }
-    result.run = std::move(crun);
-    return result;
-  }
+        cost.resize(g.num_vertices());
+        for (Vertex v = 0; v < g.num_vertices(); ++v) {
+          const std::uint32_t d = part.owner[v];
+          cost[v] = cl.device(d).read_word(ctx[d].g.cost.at(v));
+        }
+        return std::nullopt;
+      });
+  result.attempts = retry.attempts;
+  result.black_box = std::move(retry.black_box);
+  return cost;
 }
 
 }  // namespace
@@ -385,43 +371,22 @@ CommonResult run_cluster_common(const simt::DeviceConfig& config,
 ClusterBfsResult run_cluster_bfs(const simt::DeviceConfig& config,
                                  const graph::Graph& g, Vertex source,
                                  const ClusterBfsOptions& options) {
-  CommonResult common =
-      run_cluster_common(config, g, source, options, /*weighted=*/false);
   ClusterBfsResult result;
-  result.run = std::move(common.run);
-  result.attempts = common.attempts;
-  result.cut_edges = common.cut_edges;
-  result.degree_imbalance = common.degree_imbalance;
-  result.black_box = std::move(common.black_box);
-  if (!common.cost.empty()) {
-    result.levels.resize(common.cost.size());
-    for (std::size_t v = 0; v < common.cost.size(); ++v) {
-      result.levels[v] = common.cost[v] == kUnvisited
-                             ? graph::kUnreached
-                             : static_cast<std::uint32_t>(common.cost[v]);
-    }
-  }
+  const std::vector<std::uint64_t> cost =
+      run_cluster_common(config, g, source, options, /*weighted=*/false, result);
+  result.levels.reserve(cost.size());
+  for (const std::uint64_t word : cost) result.levels.push_back(level_of(word));
   return result;
 }
 
 ClusterSsspResult run_cluster_sssp(const simt::DeviceConfig& config,
                                    const graph::Graph& g, Vertex source,
                                    const ClusterBfsOptions& options) {
-  CommonResult common =
-      run_cluster_common(config, g, source, options, /*weighted=*/true);
   ClusterSsspResult result;
-  result.run = std::move(common.run);
-  result.attempts = common.attempts;
-  result.cut_edges = common.cut_edges;
-  result.degree_imbalance = common.degree_imbalance;
-  result.black_box = std::move(common.black_box);
-  if (!common.cost.empty()) {
-    result.dist.resize(common.cost.size());
-    for (std::size_t v = 0; v < common.cost.size(); ++v) {
-      result.dist[v] = common.cost[v] == kUnvisited ? graph::kUnreachableDist
-                                                    : common.cost[v];
-    }
-  }
+  // kUnvisited == graph::kUnreachableDist: the cost words are the
+  // distances.
+  result.dist =
+      run_cluster_common(config, g, source, options, /*weighted=*/true, result);
   return result;
 }
 

@@ -27,31 +27,25 @@
 
 namespace scq::bfs {
 
-struct ClusterBfsOptions {
-  std::uint32_t num_devices = 2;
+// The cluster runtime's options (device count, 2 by default; quantum;
+// balance policy; scheduler; ring capacities; sinks) plus the
+// front-end's own. Here a ring capacity of 0 means automatic: main
+// rings get max(V * queue_headroom / devices, 4 waves) slots, transfer
+// rings 1024. Metric names and task tickets are namespaced dev<N>. /
+// device<<56 when num_devices > 1, and the task trace is cleared per
+// attempt.
+struct ClusterBfsOptions : cluster::ClusterOptions {
   graph::PartitionPolicy partition = graph::PartitionPolicy::kBlock;
-  cluster::BalancePolicy balance = cluster::BalancePolicy::kOwnerOnly;
-  double steal_trigger = 2.0;
-  simt::Cycle quantum = 2048;
-  QueueVariant variant = QueueVariant::kRfan;
   unsigned work_budget = 4;
   simt::Cycle poll_interval = 240;
-  // Auto main-ring sizing: capacity per device =
-  // max(V * headroom / devices, 4 waves). Label-correcting re-enqueues
-  // plus remote candidates make this more generous than pt_bfs's 1.3.
+  // Label-correcting re-enqueues plus remote candidates make this more
+  // generous than pt_bfs's 1.3.
   double queue_headroom = 3.0;
-  std::uint64_t queue_capacity = 0;  // non-zero overrides auto sizing
-  std::uint64_t xfer_capacity = 0;   // non-zero overrides the 1024 default
   std::uint32_t num_workgroups = 0;  // 0 = all resident wave slots
-  // Optional sinks (not owned); see cluster::ClusterOptions — metric
-  // names and task tickets are namespaced dev<N>. / device<<56 when
-  // num_devices > 1. The task trace is cleared per attempt.
-  simt::Telemetry* telemetry = nullptr;
-  simt::TaskTrace* task_trace = nullptr;
 };
 
-struct ClusterBfsResult {
-  std::vector<std::uint32_t> levels;  // read from each vertex's owner
+// What every cluster front-end reports besides its per-vertex answer.
+struct ClusterRunResult {
   cluster::ClusterRun run;
   std::uint32_t attempts = 1;  // deadlock retries (capacity doubling)
   // Partition quality of the run's vertex sharding.
@@ -62,14 +56,12 @@ struct ClusterBfsResult {
   std::string black_box;
 };
 
-struct ClusterSsspResult {
+struct ClusterBfsResult : ClusterRunResult {
+  std::vector<std::uint32_t> levels;  // read from each vertex's owner
+};
+
+struct ClusterSsspResult : ClusterRunResult {
   std::vector<std::uint64_t> dist;
-  cluster::ClusterRun run;
-  std::uint32_t attempts = 1;
-  std::uint64_t cut_edges = 0;
-  double degree_imbalance = 1.0;
-  // See ClusterBfsResult::black_box.
-  std::string black_box;
 };
 
 // Requires num_vertices <= 2^24 and (for SSSP) distances < 2^22 — the

@@ -45,11 +45,9 @@ DeviceGraph upload_graph(simt::Device& dev, const graph::Graph& g) {
 }
 
 std::vector<std::uint32_t> read_levels(simt::Device& dev, const DeviceGraph& dg) {
-  std::vector<std::uint32_t> levels(dg.n_vertices, graph::kUnreached);
+  std::vector<std::uint32_t> levels(dg.n_vertices);
   for (Vertex v = 0; v < dg.n_vertices; ++v) {
-    const std::uint64_t word = dev.read_word(dg.cost.at(v));
-    levels[v] = word == kUnvisited ? graph::kUnreached
-                                   : static_cast<std::uint32_t>(word);
+    levels[v] = level_of(dev.read_word(dg.cost.at(v)));
   }
   return levels;
 }

@@ -31,6 +31,12 @@ struct DeviceGraph {
 // as the GPU runtime requires all allocation before launch — §3.1).
 DeviceGraph upload_graph(simt::Device& dev, const graph::Graph& g);
 
+// A device cost word as a 32-bit BFS level (kUnvisited -> kUnreached).
+[[nodiscard]] constexpr std::uint32_t level_of(std::uint64_t cost) {
+  return cost == kUnvisited ? graph::kUnreached
+                            : static_cast<std::uint32_t>(cost);
+}
+
 // Reads back the device cost array as 32-bit BFS levels.
 std::vector<std::uint32_t> read_levels(simt::Device& dev, const DeviceGraph& dg);
 

@@ -35,9 +35,9 @@ Cluster::Cluster(const simt::DeviceConfig& config,
   if (options_.variant != QueueVariant::kBase &&
       options_.variant != QueueVariant::kAn &&
       options_.variant != QueueVariant::kRfan) {
-    // The host router injects through the shared-ring slot protocol and
-    // reads the Front/Rear/Completed control block directly; the
-    // extension schedulers have other layouts.
+    // The host router injects through DeviceQueue::host_push and the
+    // barrier reads DeviceQueue::unfinished, which both assume the one
+    // shared ring; the extension schedulers have other layouts.
     throw simt::SimError(
         "Cluster supports the BASE/AN/RF-AN ring schedulers only");
   }
@@ -156,11 +156,7 @@ bool Cluster::quiescent(const Router& router) const {
   if (!router.pending_empty()) return false;
   const std::uint32_t n = num_devices();
   for (std::uint32_t d = 0; d < n; ++d) {
-    const QueueLayout& q = queues_[d]->layout();
-    if (devices_[d]->read_word(q.completed_addr()) !=
-        devices_[d]->read_word(q.rear_addr())) {
-      return false;
-    }
+    if (queues_[d]->unfinished(*devices_[d]) != 0) return false;
   }
   for (std::uint32_t s = 0; s < n; ++s) {
     for (std::uint32_t d = 0; d < n; ++d) {
@@ -210,10 +206,7 @@ ClusterRun Cluster::run(const DeviceKernelFactory& make_factory,
     if (steals(options_.balance) || want_windows) {
       backlog.resize(n);
       for (std::uint32_t d = 0; d < n; ++d) {
-        const QueueLayout& q = queues_[d]->layout();
-        const std::uint64_t rear = devices_[d]->read_word(q.rear_addr());
-        const std::uint64_t done = devices_[d]->read_word(q.completed_addr());
-        backlog[d] = rear > done ? rear - done : 0;
+        backlog[d] = queues_[d]->unfinished(*devices_[d]);
       }
     }
     if (steals(options_.balance)) router.balance(backlog);

@@ -46,7 +46,7 @@
 namespace scq::cluster {
 
 struct ClusterOptions {
-  std::uint32_t num_devices = 1;
+  std::uint32_t num_devices = 2;
   // Superstep quantum: how far every device advances between barriers
   // (> 0). Smaller = lower transfer latency, more host barriers.
   simt::Cycle quantum = 2048;
@@ -104,17 +104,6 @@ class Cluster {
   [[nodiscard]] simt::Addr stop_flag(std::uint32_t d) const {
     return stop_flags_[d];
   }
-  // Per-device telemetry (prefixed dev<N>. when num_devices > 1), or
-  // nullptr when the cluster has no telemetry sink.
-  [[nodiscard]] simt::Telemetry* device_telemetry(std::uint32_t d) {
-    return telemetry_.empty() ? nullptr : telemetry_[d].get();
-  }
-  // Per-device flight recorder (always present; source label "dev<N>"
-  // when num_devices > 1).
-  [[nodiscard]] simt::FlightRecorder& device_recorder(std::uint32_t d) {
-    return *recorders_[d];
-  }
-
   // Explicit black-box snapshot of the current cluster state (queues,
   // recorders, rings; no router — that context lives inside run()).
   // Callable at any time, including mid-run from host code.

@@ -107,9 +107,6 @@ void Router::deliver(std::span<const std::unique_ptr<simt::Device>> devices,
                      std::span<const std::unique_ptr<DeviceQueue>> queues) {
   const std::uint32_t n = static_cast<std::uint32_t>(pending_.size());
   for (std::uint32_t d = 0; d < n; ++d) {
-    simt::Device& dev = *devices[d];
-    const DeviceQueue& queue = *queues[d];
-    const QueueLayout& q = queue.layout();
     if (policy_ == BalancePolicy::kStealPriority) {
       // Priority injection: lowest cost first (stable, so equal-cost
       // tokens keep their deterministic arrival order).
@@ -119,22 +116,14 @@ void Router::deliver(std::span<const std::unique_ptr<simt::Device>> devices,
                        });
     }
     while (!pending_[d].empty()) {
-      const std::uint64_t rear = dev.read_word(q.rear_addr());
-      const std::uint64_t index = rear % q.capacity;
-      const std::uint64_t epoch = rear / q.capacity;
-      if (dev.read_word(q.slot_addr(index)) != slot_empty_word(epoch)) {
+      if (!queues[d]->host_push(*devices[d], pending_[d].front())) {
         // The ring slot has not recycled — same backpressure rule the
         // device producers obey. Retry the remainder next barrier.
         ++stats_.inject_retries;
         break;
       }
-      const std::uint64_t token = pending_[d].front();
       pending_[d].pop_front();
-      dev.write_word(q.slot_addr(index), slot_full_word(epoch, token));
-      dev.write_word(q.rear_addr(), rear + 1);
       ++stats_.delivered;
-      dev.protocol().host_publish(queue, simt::HostOrigin::kRouter, rear, token,
-                                  dev.now());
     }
   }
 }

@@ -10,10 +10,11 @@
 //             as kUpdate so its cost array still converges. kOwnerOnly
 //             leaves every candidate with its owner.
 //   deliver   injects pending tokens into the owning devices' main
-//             queues host-side: a token is written only over the
-//             matching epoch's empty sentinel at Rear's slot; if the
-//             slot has not recycled (ring momentarily full), the
-//             remainder stays pending and retries next barrier.
+//             queues through DeviceQueue::host_push: a token is written
+//             only over the matching epoch's empty sentinel at Rear's
+//             slot; if the slot has not recycled (ring momentarily
+//             full), the remainder stays pending and retries next
+//             barrier.
 //
 // Host reads/writes cost no simulated cycles, so the router is "free"
 // in device time — the cost model for cross-device traffic is the
@@ -87,9 +88,6 @@ class Router {
                std::span<const std::unique_ptr<DeviceQueue>> queues);
 
   [[nodiscard]] bool pending_empty() const;
-  [[nodiscard]] std::uint64_t pending_for(std::uint32_t d) const {
-    return pending_[d].size();
-  }
   // Pending token contents per destination, FIFO order (black-box dumps).
   [[nodiscard]] std::vector<std::vector<std::uint64_t>> pending_snapshot()
       const;

@@ -1,34 +1,9 @@
 #include "core/black_box.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace scq {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void BlackBoxBuilder::add_device(const std::string& name,
                                  const simt::Device& dev,
@@ -119,18 +94,7 @@ std::string dump_black_box(simt::Device& dev, const DeviceQueue* queue,
 }
 
 bool write_black_box(const std::string& json, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "black box: cannot open '%s' for writing\n",
-                 path.c_str());
-    return false;
-  }
-  out << json << '\n';
-  if (!out) {
-    std::fprintf(stderr, "black box: short write to '%s'\n", path.c_str());
-    return false;
-  }
-  return true;
+  return util::write_file(path, json + '\n');
 }
 
 }  // namespace scq

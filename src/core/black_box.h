@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/queue.h"
+#include "util/json.h"
 
 namespace scq {
 
@@ -85,7 +86,7 @@ class BlackBoxBuilder {
 // so a write error must not mask the original failure).
 bool write_black_box(const std::string& json, const std::string& path);
 
-// Minimal JSON string escaping for abort-reason text.
-[[nodiscard]] std::string json_escape(const std::string& s);
+// The shared JSON string escaper, for abort-reason text.
+using util::json_escape;
 
 }  // namespace scq

@@ -137,6 +137,25 @@ void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens)
   }
 }
 
+bool DeviceQueue::host_push(simt::Device& dev, std::uint64_t token) {
+  const std::uint64_t rear = dev.read_word(layout_.rear_addr());
+  const SlotRef at = slot_of(rear);
+  const Addr slot = layout_.slot_addr(at.index);
+  if (dev.read_word(slot) != slot_empty_word(at.epoch)) return false;
+  dev.write_word(slot, slot_full_word(at.epoch, token));
+  dev.write_word(layout_.rear_addr(), rear + 1);
+  ++resident_;
+  dev.protocol().host_publish(*this, simt::HostOrigin::kRouter, rear, token,
+                              dev.now());
+  return true;
+}
+
+std::uint64_t DeviceQueue::unfinished(const simt::Device& dev) const {
+  const std::uint64_t rear = dev.read_word(layout_.rear_addr());
+  const std::uint64_t done = dev.read_word(layout_.completed_addr());
+  return rear > done ? rear - done : 0;
+}
+
 Kernel<void> DeviceQueue::report_complete(Wave& w, std::uint32_t count) {
   if (count == 0) co_return;
   co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);

@@ -336,6 +336,21 @@ class DeviceQueue : public simt::TicketSpace {
   // from index 0 with Rear = count; resets the control block).
   virtual void seed(simt::Device& dev, std::span<const std::uint64_t> tokens);
 
+  // Host-side push of one token mid-run (the cluster router's
+  // injection at a superstep barrier): writes it over Rear's slot and
+  // advances Rear, but only when that slot holds the current epoch's
+  // empty sentinel — the rule device producers obey. Returns false,
+  // writing nothing, when the slot has not recycled yet. Like seed's
+  // default, it assumes the one shared ring: the cluster rejects the
+  // banded and extension schedulers.
+  bool host_push(simt::Device& dev, std::uint64_t token);
+
+  // Host-side count of tickets reserved but not yet reported complete
+  // (Rear - Completed): zero exactly when the queue's own termination
+  // test holds. The cluster barrier reads it on every device at every
+  // superstep, so it costs two word reads and no simulated cycles.
+  [[nodiscard]] std::uint64_t unfinished(const simt::Device& dev) const;
+
   // Host-side backlog snapshot for the telemetry windows: tickets
   // reserved but not yet claimed (Rear - Front). May transiently exceed
   // capacity, since Rear counts reservations, not written slots. Costs

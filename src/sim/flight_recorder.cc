@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace simt {
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -34,7 +36,6 @@ void FlightRecorder::flush_step_locked() const {
   e.band = pending_.band;
   e.cycle = pending_.cycle;
   e.seq = recorded_;
-  e.source = 0;
   append_locked(e);
   pending_.width = 0;
 }
@@ -49,7 +50,7 @@ void FlightRecorder::begin_steps(FlightKind kind, std::uint32_t actor,
 }
 
 void FlightRecorder::apply_wait_locked(const FlightEvent& e) {
-  const WaitKey key{e.source, e.unit, e.ticket};
+  const WaitKey key{e.unit, e.ticket};
   switch (e.kind) {
     case FlightKind::kClaim:
       monitors_[key] = {e.actor, e.band, e.cycle};
@@ -75,19 +76,18 @@ void FlightRecorder::record(const FlightEvent& e) {
   flush_step_locked();
   FlightEvent stamped = e;
   stamped.seq = recorded_;
-  stamped.source = 0;
   append_locked(stamped);
   apply_wait_locked(stamped);
 }
 
 void FlightRecorder::set_source_label(std::string label) {
   std::lock_guard<std::mutex> lock(mu_);
-  sources_[0] = std::move(label);
+  label_ = std::move(label);
 }
 
-std::vector<std::string> FlightRecorder::sources() const {
+std::string FlightRecorder::source_label() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sources_;
+  return label_;
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
@@ -148,16 +148,12 @@ std::string FlightRecorder::to_json() const {
   std::ostringstream os;
   os << "{\"flight_recorder\":1,\"capacity\":" << capacity_
      << ",\"recorded\":" << recorded_ << ",\"dropped\":" << dropped_
-     << ",\"sources\":[";
-  for (std::size_t s = 0; s < sources_.size(); ++s) {
-    if (s) os << ',';
-    os << '"' << sources_[s] << '"';
-  }
-  os << "],\"events\":[";
+     << ",\"sources\":[\"" << scq::util::json_escape(label_)
+     << "\"],\"events\":[";
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     const FlightEvent& e = ring_[(first_ + i) % capacity_];
     if (i) os << ',';
-    os << "{\"seq\":" << e.seq << ",\"src\":" << e.source << ",\"kind\":\""
+    os << "{\"seq\":" << e.seq << ",\"src\":0,\"kind\":\""
        << to_string(e.kind) << "\",\"actor\":" << e.actor
        << ",\"unit\":" << e.unit << ",\"ticket\":" << e.ticket
        << ",\"payload\":" << e.payload << ",\"band\":" << e.band
@@ -168,19 +164,18 @@ std::string FlightRecorder::to_json() const {
   for (const auto& [k, v] : monitors_) {
     if (comma) os << ',';
     comma = true;
-    os << "{\"src\":" << std::get<0>(k) << ",\"unit\":" << std::get<1>(k)
-       << ",\"ticket\":" << std::get<2>(k) << ",\"actor\":" << v.actor
-       << ",\"band\":" << v.band << ",\"since\":" << v.since << '}';
+    os << "{\"src\":0,\"unit\":" << k.first << ",\"ticket\":" << k.second
+       << ",\"actor\":" << v.actor << ",\"band\":" << v.band
+       << ",\"since\":" << v.since << '}';
   }
   os << "],\"parked\":[";
   comma = false;
   for (const auto& [k, v] : parked_) {
     if (comma) os << ',';
     comma = true;
-    os << "{\"src\":" << std::get<0>(k) << ",\"unit\":" << std::get<1>(k)
-       << ",\"ticket\":" << std::get<2>(k) << ",\"actor\":" << v.actor
-       << ",\"band\":" << v.band << ",\"token\":" << v.token
-       << ",\"since\":" << v.since << '}';
+    os << "{\"src\":0,\"unit\":" << k.first << ",\"ticket\":" << k.second
+       << ",\"actor\":" << v.actor << ",\"band\":" << v.band
+       << ",\"token\":" << v.token << ",\"since\":" << v.since << '}';
   }
   os << "]}";
   return os.str();

@@ -54,7 +54,7 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/config.h"
@@ -100,11 +100,8 @@ struct FlightEvent {
   std::uint64_t band = 0;     // priority band (0 for single-band queues)
   Cycle cycle = 0;            // device clock at record time
   // Stamped by record(): the recorder's monotone event index (survives
-  // ring wrap — event seq s was the (s+1)-th ever recorded) and the
-  // source the event came from (index into sources(); 0 = this
-  // recorder's own label).
+  // ring wrap — event seq s was the (s+1)-th ever recorded).
   std::uint64_t seq = 0;
-  std::uint16_t source = 0;
 };
 
 class FlightRecorder {
@@ -114,10 +111,9 @@ class FlightRecorder {
   // history (that is OpHistory's job).
   explicit FlightRecorder(std::size_t capacity = 4096);
 
-  // Appends one event (stamping seq + source 0) and updates the wait
-  // tables. Overwrites the oldest ring entry past capacity, counting
-  // the overwrite as a drop. Mutex-protected like the sibling
-  // recorders.
+  // Appends one event (stamping seq) and updates the wait tables.
+  // Overwrites the oldest ring entry past capacity, counting the
+  // overwrite as a drop. Mutex-protected like the sibling recorders.
   void record(const FlightEvent& e);
 
   // Coalescing fast path for the per-lane protocol steps (the always-on
@@ -155,10 +151,10 @@ class FlightRecorder {
     begin_steps(kind, actor, unit, ticket, band, cycle, width);
   }
 
-  // Source label for this recorder's own events (the cluster sets
-  // "dev<N>" per device; empty for single-device runs).
+  // Source label for this recorder's events (the cluster sets "dev<N>"
+  // per device; empty for single-device runs).
   void set_source_label(std::string label);
-  [[nodiscard]] std::vector<std::string> sources() const;
+  [[nodiscard]] std::string source_label() const;
 
   // Events in recording order, oldest surviving entry first.
   [[nodiscard]] std::vector<FlightEvent> snapshot() const;
@@ -170,7 +166,7 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded() const;
 
   // Live wait-state entries (see the header comment). Keys are
-  // (source, unit, ticket); deterministic iteration order.
+  // (unit, ticket); deterministic iteration order.
   struct MonitorWait {
     std::uint32_t actor = 0;
     std::uint64_t band = 0;
@@ -182,19 +178,21 @@ class FlightRecorder {
     std::uint64_t token = 0;
     Cycle since = 0;
   };
-  using WaitKey = std::tuple<std::uint16_t, std::uint32_t, std::uint64_t>;
+  using WaitKey = std::pair<std::uint32_t, std::uint64_t>;
   [[nodiscard]] std::map<WaitKey, MonitorWait> monitors() const;
   [[nodiscard]] std::map<WaitKey, ParkWait> parked() const;
 
-  // Drops all events, wait entries and the drop count (the source list
-  // and label survive: they describe configuration, not data).
+  // Drops all events, wait entries and the drop count (the label
+  // survives: it describes configuration, not data).
   void clear();
 
   // Deterministic JSON object:
   //   {"flight_recorder":1,"capacity":C,"recorded":T,"dropped":D,
-  //    "sources":[...],"events":[...],"monitors":[...],"parked":[...]}
-  // Events in ring order; wait tables in key order. Embeddable as a
-  // value inside the black-box document.
+  //    "sources":[label],"events":[...],"monitors":[...],"parked":[...]}
+  // Events in ring order; wait tables in key order. Every event and
+  // wait entry carries "src":0, the index of its source in "sources"
+  // (the post-mortem analyzer reads it). Embeddable as a value inside
+  // the black-box document.
   [[nodiscard]] std::string to_json() const;
 
  private:
@@ -213,7 +211,7 @@ class FlightRecorder {
 
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::vector<std::string> sources_{""};
+  std::string label_;
   mutable std::vector<FlightEvent> ring_;  // ring_[ (first_ + i) % capacity_ ]
   mutable std::size_t first_ = 0;          // index of the oldest surviving event
   mutable std::uint64_t recorded_ = 0;

@@ -2,23 +2,13 @@
 
 #include <cstdio>
 
+#include "util/json.h"
+
 namespace simt {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    if (static_cast<unsigned char>(ch) < 0x20) {
-      out += ' ';
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
+using scq::util::json_escape;
 
 }  // namespace
 
@@ -79,12 +69,7 @@ bool TaskTrace::write_json(const std::string& path) const {
                  "TaskTrace capacity for a complete causality DAG\n",
                  static_cast<unsigned long long>(n));
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string body = to_json();
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == body.size() && closed;
+  return scq::util::write_file(path, to_json());
 }
 
 }  // namespace simt

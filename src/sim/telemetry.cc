@@ -11,29 +11,7 @@ namespace simt {
 
 namespace {
 
-// Minimal JSON string escaping (metric names are plain identifiers, but
-// a bench could pass anything).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
+using scq::util::json_escape;
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
@@ -218,15 +196,7 @@ std::string Telemetry::to_json() const {
 }
 
 bool Telemetry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const std::string body = to_json();
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == body.size() && closed;
+  return scq::util::write_file(path, to_json());
 }
 
 std::string Telemetry::histograms_csv() const {

@@ -4,34 +4,13 @@
 
 #include "sim/trace.h"
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace simt {
 
 namespace {
 
-// Matches the telemetry exporter's escaping: series names are plain
-// identifiers, but a bench could pass anything.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
+using scq::util::json_escape;
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/json.h"
+
 namespace simt {
 
 const char* to_string(TraceOp op) {
@@ -21,22 +23,7 @@ const char* to_string(TraceOp op) {
 
 namespace {
 
-// Counter names come from telemetry probes and are plain identifiers;
-// escape the JSON-significant characters anyway so a hostile name can
-// never corrupt the trace document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    if (static_cast<unsigned char>(ch) < 0x20) {
-      out += ' ';
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
+using scq::util::json_escape;
 
 }  // namespace
 
@@ -153,12 +140,7 @@ bool TraceRecorder::write_chrome_json(const std::string& path) const {
                  static_cast<unsigned long long>(dropped_flows_),
                  static_cast<unsigned long long>(dropped_windows_));
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string body = to_chrome_json();
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == body.size() && closed;
+  return scq::util::write_file(path, to_chrome_json());
 }
 
 }  // namespace simt

@@ -1,19 +1,23 @@
-// The attempt harness shared by every single-device front-end
-// (run_pt_bfs, run_pt_sssp, run_pt_sssp_delta, run_task_graph).
+// The attempt harness shared by every front-end.
 //
-// A front-end run is a loop of attempts. Each attempt gets a fresh
-// Device, a queue sized from the plan, the caller's observability sinks
-// re-attached against the new objects, and an always-on flight
-// recorder. If the publish-deadlock detector aborts the attempt (the
-// in-flight working set outgrew the ring — §4.4's exception path), the
-// harness dumps a black box and retries with double the capacity, up to
-// kMaxAttempts. Front-ends supply only the queue construction and the
-// seed/launch/readback step.
+// A front-end run is a loop of attempts under one retry policy
+// (retry_doubling): if the publish-deadlock detector aborts an attempt
+// (the in-flight working set outgrew the ring — §4.4's exception path),
+// the attempt leaves a black box and the next one runs with every ring
+// capacity doubled, up to kMaxAttempts. The cluster front-end
+// (bfs/cluster_bfs.h) drives retry_doubling directly; the single-device
+// front-ends (run_pt_bfs, run_pt_sssp, run_pt_sssp_delta,
+// run_task_graph) go through run_attempts, which also gives each
+// attempt a fresh Device, a queue sized from the plan, the caller's
+// observability sinks re-attached against the new objects, and an
+// always-on flight recorder. Front-ends supply only the queue
+// construction and the seed/launch/readback step.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -42,9 +46,22 @@ struct RunSinks {
 
 inline constexpr std::uint32_t kMaxAttempts = 8;
 
-// Queue sizing: capacity = base_count * headroom + kWaveWidth, or the
-// explicit capacity when non-zero. A deadlocked attempt doubles
-// whichever of the two was set.
+// One attempt with every ring capacity multiplied by `scale`: nullopt
+// when it finished, or the aborted attempt's black-box JSON.
+using Attempt = std::function<std::optional<std::string>(std::uint64_t scale)>;
+
+struct RetryResult {
+  std::uint32_t attempts = 0;
+  // Black-box JSON from the most recent aborted attempt ("" if none).
+  std::string black_box;
+};
+
+// The retry policy: runs attempt(scale) for scale 1, 2, 4, ... until an
+// attempt finishes or kMaxAttempts have run.
+RetryResult retry_doubling(const Attempt& attempt);
+
+// Queue sizing at retry scale s: capacity = base_count * (headroom * s)
+// + kWaveWidth, or the explicit capacity * s when non-zero.
 struct AttemptPlan {
   std::uint64_t base_count = 0;
   double headroom = 1.0;

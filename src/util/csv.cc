@@ -1,6 +1,6 @@
 #include "util/csv.h"
 
-#include <cstdio>
+#include "util/json.h"
 
 namespace scq::util {
 
@@ -40,15 +40,7 @@ std::string CsvWriter::render() const {
 }
 
 bool CsvWriter::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const std::string body = render();
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
+  return write_file(path, render());
 }
 
 }  // namespace scq::util

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string_view>
 
+#include "util/json.h"
+
 namespace scq::util {
 
 namespace {
@@ -417,15 +419,7 @@ std::string HtmlReportBuilder::render() const {
 }
 
 bool HtmlReportBuilder::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const std::string body = render();
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == body.size() && closed;
+  return write_file(path, render());
 }
 
 }  // namespace scq::util

@@ -162,6 +162,40 @@ std::optional<JsonValue> parse_json_file(const std::string& path) {
   return parse_json(body);
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  return out;
+}
+
+bool write_file(const std::string& path, std::string_view body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return ok;
+}
+
 namespace {
 
 void flatten_leaves(const JsonValue& v, const std::string& prefix,

@@ -1,4 +1,5 @@
-// Minimal JSON parser shared by tests and tools.
+// Minimal JSON parser shared by tests and tools, plus the string
+// escaper and the file writer every exporter uses.
 //
 // Just enough to round-trip this repo's own exporters (telemetry JSON,
 // Chrome trace JSON, bench BENCH_*.json): objects, arrays, strings with
@@ -37,6 +38,16 @@ struct JsonValue {
 
 // Reads and parses a JSON file; nullopt on open/read/parse failure.
 [[nodiscard]] std::optional<JsonValue> parse_json_file(const std::string& path);
+
+// The body of a JSON string literal: quote and backslash escaped, \n,
+// \r and \t by name, every other control character as \u00XX, all
+// other bytes unchanged.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
+// Writes `body` to `path`, replacing the file. False, with one line on
+// stderr, when the file cannot be opened or the write or the close
+// fails (a full disk shows up only at one of the last two).
+bool write_file(const std::string& path, std::string_view body);
 
 // The per-histogram summary statistics the telemetry JSON exporter
 // writes and flatten_metrics reads back. One shared list so the

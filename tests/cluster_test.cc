@@ -1,15 +1,18 @@
 // Cluster runtime integration tests: multi-device BFS/SSSP validated
 // against the serial references across device counts, scheduler
 // variants, partition and balance policies; bit-exact determinism; the
-// 1-device degeneration contract; telemetry / task-trace namespacing.
+// 1-device degeneration contract; ring residency under router
+// injection; telemetry / task-trace namespacing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "bfs/cluster_bfs.h"
 #include "bfs/pt_bfs.h"
+#include "cluster/transfer.h"
 #include "graph/generators.h"
 #include "graph/sssp_ref.h"
 #include "sim/task_trace.h"
@@ -323,6 +326,76 @@ TEST(ClusterTest, TaskTraceTicketsAreNamespacedPerDevice) {
   }
   EXPECT_TRUE(saw_dev0);
   EXPECT_TRUE(saw_dev1);
+}
+
+// ---- Ring residency under router injection ----
+
+// Lane 0 sends `count` tokens into `ring`, then the wave exits.
+simt::Kernel<void> send_tokens(simt::Wave& w, const cluster::TransferRing& ring,
+                               std::uint64_t count) {
+  cluster::XferWaveState st{};
+  for (std::uint64_t t = 0; t < count; ++t) st.push(0, 100 + t);
+  co_await ring.publish(w, st);
+}
+
+TEST(ClusterTest, ResidentTokensMatchRingMemory) {
+  // Router deliveries fill main-ring slots, so they must credit the
+  // ring's resident count that every consuming poll debits; otherwise
+  // the count wraps below zero in every multi-device run.
+  const graph::Graph g = make_graph("kary");
+  for (const std::uint32_t devices : {2u, 4u}) {
+    simt::Telemetry telemetry(simt::Telemetry::Options{.window_cycles = 256});
+    ClusterBfsOptions opt;
+    opt.num_devices = devices;
+    opt.queue_capacity = 1024;
+    opt.telemetry = &telemetry;
+    const ClusterBfsResult r = run_cluster_bfs(small_device(), g, 0, opt);
+    ASSERT_FALSE(r.run.aborted) << r.run.abort_reason;
+    ASSERT_EQ(r.attempts, 1u);
+    EXPECT_GT(r.run.router.delivered, 0u);
+    for (std::uint32_t d = 0; d < devices; ++d) {
+      const std::string name =
+          "dev" + std::to_string(d) + ".queue.resident_tokens";
+      const auto& series = telemetry.windows().series(name);
+      ASSERT_FALSE(series.empty()) << name;
+      std::uint64_t peak = 0;
+      for (const simt::WindowSample& s : series) peak = std::max(peak, s.value);
+      EXPECT_LE(peak, opt.queue_capacity) << name;
+      // The tail window is sampled at launch end, after quiescence,
+      // when ring memory holds no token.
+      EXPECT_EQ(series.back().value, 0u) << name;
+    }
+  }
+
+  // The same accounting checked against ring memory while tokens sit in
+  // the rings: device 0 holds one seeded token (which keeps the cluster
+  // from quiescing early) and sends three to device 1, the barrier
+  // injects them, and with no consumer anywhere the run stalls.
+  cluster::ClusterOptions copt;
+  copt.num_devices = 2;
+  copt.queue_capacity = 64;
+  copt.xfer_capacity = 16;
+  cluster::Cluster cl(small_device(), copt);
+  const std::uint64_t seed[] = {7};
+  cl.queue(0).seed(cl.device(0), seed);
+  const cluster::ClusterRun run = cl.run(
+      [&cl](std::uint32_t d) -> simt::KernelFactory {
+        if (d == 0) {
+          return [&cl](simt::Wave& w) { return send_tokens(w, cl.ring(0, 1), 3); };
+        }
+        return [](simt::Wave&) -> simt::Kernel<void> { co_return; };
+      },
+      1);
+  ASSERT_TRUE(run.aborted);
+  EXPECT_EQ(run.router.delivered, 3u);
+  for (std::uint32_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(cl.queue(d).resident_tokens(cl.device(d)),
+              cl.queue(d).resident_tokens_scan(cl.device(d)))
+        << "dev" << d;
+  }
+  EXPECT_NE(run.abort_reason.find("dev0 occ=1 resident=1; dev1 occ=3 resident=3"),
+            std::string::npos)
+      << run.abort_reason;
 }
 
 // ---- Option validation ----

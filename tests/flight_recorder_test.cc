@@ -1,5 +1,6 @@
 // FlightRecorder unit tests: ring wrap/drop accounting, the live wait
-// tables, cluster-style source merging, and byte-stable JSON.
+// tables keyed by (unit, ticket), the source label, and byte-stable
+// JSON.
 #include "sim/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -29,7 +30,6 @@ TEST(FlightRecorderTest, RingWrapKeepsMostRecentAndCountsDrops) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].ticket, 6 + i);
     EXPECT_EQ(events[i].seq, 6 + i);
-    EXPECT_EQ(events[i].source, 0u);
   }
 }
 
@@ -45,12 +45,12 @@ TEST(FlightRecorderTest, WaitTablesTrackClaimsAndReservations) {
   auto parked = rec.parked();
   ASSERT_EQ(monitors.size(), 1u);
   ASSERT_EQ(parked.size(), 2u);
-  const FlightRecorder::WaitKey claim_key{0, 0, 17};
+  const FlightRecorder::WaitKey claim_key{0, 17};
   EXPECT_EQ(monitors.at(claim_key).actor, 3u);
   EXPECT_EQ(monitors.at(claim_key).band, 2u);
   EXPECT_EQ(monitors.at(claim_key).since, 100u);
-  const FlightRecorder::WaitKey park_key{0, 0, 9};
-  const FlightRecorder::WaitKey xfer_key{0, 2, 9};
+  const FlightRecorder::WaitKey park_key{0, 9};
+  const FlightRecorder::WaitKey xfer_key{2, 9};
   EXPECT_EQ(parked.at(park_key).actor, 5u);
   EXPECT_EQ(parked.at(park_key).token, 42u);
   EXPECT_EQ(parked.at(xfer_key).actor, 6u);
@@ -154,8 +154,7 @@ TEST(FlightRecorderTest, ClearDropsDataButKeepsLabel) {
   EXPECT_EQ(rec.recorded(), 0u);
   EXPECT_EQ(rec.dropped(), 0u);
   EXPECT_TRUE(rec.parked().empty());
-  ASSERT_FALSE(rec.sources().empty());
-  EXPECT_EQ(rec.sources()[0], "dev3");
+  EXPECT_EQ(rec.source_label(), "dev3");
 
   // seq restarts from zero after a clear.
   rec.record(note(9));
@@ -180,6 +179,13 @@ TEST(FlightRecorderTest, ToJsonIsByteStableAndParses) {
   EXPECT_EQ(doc->at("dropped").number, 0.0);
   ASSERT_EQ(doc->at("events").array.size(), 3u);
   EXPECT_EQ(doc->at("events").array[0].at("kind").str, "reserve");
+  // One source, the recorder's own label, which every event names as
+  // index 0.
+  ASSERT_EQ(doc->at("sources").array.size(), 1u);
+  EXPECT_EQ(doc->at("sources").array[0].str, "");
+  for (const auto& e : doc->at("events").array) {
+    EXPECT_EQ(e.at("src").number, 0.0);
+  }
   // The write retired the reservation; the claim is still live.
   EXPECT_EQ(doc->at("parked").array.size(), 0u);
   ASSERT_EQ(doc->at("monitors").array.size(), 1u);

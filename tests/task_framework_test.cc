@@ -2,14 +2,15 @@
 // arrival-finished lanes and its two client seams (stop word, side
 // channels), the soundness guards (spawn depth,
 // dependency-counter underflow, unreleased dependencies, band
-// monotonicity), the overflow stash, and phase-close accounting on the
-// banded multi-queue. The front-ends' schedules are pinned by
-// driver_golden_test.cc.
+// monotonicity), the overflow stash, phase-close accounting on the
+// banded multi-queue, and the shared retry policy. The front-ends'
+// schedules are pinned by driver_golden_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -559,6 +560,52 @@ TEST(TaskFramework, LowerBandSpawnAllowedOnSingleBandQueues) {
       opt);
   EXPECT_FALSE(r.run.aborted);
   EXPECT_EQ(executed, 2u);
+}
+
+// ---- The retry policy (tasks/attempts.h) ----
+
+// An attempt that aborts its first `aborts` runs, logging each scale
+// and handing back "box<k>" as the k-th aborted run's black box.
+struct ScriptedAttempt {
+  std::uint32_t aborts = 0;
+  std::vector<std::uint64_t> scales;
+  std::optional<std::string> operator()(std::uint64_t scale) {
+    scales.push_back(scale);
+    if (scales.size() > aborts) return std::nullopt;
+    return "box" + std::to_string(scales.size());
+  }
+};
+
+TEST(RetryPolicy, AbortedAttemptsRetryAtDoubledScale) {
+  for (std::uint32_t k = 1; k < kMaxAttempts; ++k) {
+    ScriptedAttempt script;
+    script.aborts = k;
+    const RetryResult r = retry_doubling(std::ref(script));
+    EXPECT_EQ(r.attempts, k + 1);
+    ASSERT_EQ(script.scales.size(), k + 1);
+    for (std::uint32_t i = 0; i <= k; ++i) {
+      EXPECT_EQ(script.scales[i], std::uint64_t{1} << i);
+    }
+    EXPECT_EQ(r.black_box, "box" + std::to_string(k));
+  }
+}
+
+TEST(RetryPolicy, StopsAtMaxAttempts) {
+  ScriptedAttempt script;
+  script.aborts = ~std::uint32_t{0};
+  const RetryResult r = retry_doubling(std::ref(script));
+  EXPECT_EQ(r.attempts, kMaxAttempts);
+  EXPECT_EQ(script.scales.size(), kMaxAttempts);
+  EXPECT_EQ(script.scales.back(), std::uint64_t{1} << (kMaxAttempts - 1));
+  EXPECT_EQ(r.black_box, "box" + std::to_string(kMaxAttempts));
+}
+
+TEST(RetryPolicy, CleanAttemptRunsOnceWithoutABlackBox) {
+  ScriptedAttempt script;
+  const RetryResult r = retry_doubling(std::ref(script));
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(script.scales, std::vector<std::uint64_t>{1});
+  EXPECT_TRUE(r.black_box.empty());
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ const std::map<std::string, std::uint64_t>& pins() {
       {"base_tasks_s5", 11365880929396472913ull},
       {"base_tree_s12", 15812813502544616674ull},
       {"base_tree_s5", 4617543559134140309ull},
-      {"cluster_bfs_2_devices", 1762114682792583814ull},
+      {"cluster_bfs_2_devices", 15723210223960764399ull},
       {"delta_sssp_8_bands", 1836632263383858144ull},
       {"distrib_ternary_tree", 2013454354783364932ull},
       {"mq_chain_s12", 4162848989587723015ull},

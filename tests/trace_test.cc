@@ -120,8 +120,8 @@ TEST(TraceTest, CounterNamesAreJsonEscaped) {
   TraceRecorder trace;
   trace.record_counter({0, "odd\"na\\me\n", 1.0});
   const std::string json = trace.to_chrome_json();
-  // Quote and backslash get escaped; control characters are blanked.
-  EXPECT_NE(json.find("odd\\\"na\\\\me "), std::string::npos);
+  // Quote, backslash and control characters all get escaped.
+  EXPECT_NE(json.find("odd\\\"na\\\\me\\n"), std::string::npos);
 }
 
 TEST(TraceTest, CounterCapacityBoundsRecording) {

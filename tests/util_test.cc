@@ -1,11 +1,19 @@
 // Tests for the utility layer: flag parsing, table/CSV rendering, PRNG
-// determinism and distribution sanity.
+// determinism and distribution sanity, the JSON string escaper, and the
+// file writer every exporter shares.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
+#include "core/black_box.h"
+#include "sim/task_trace.h"
+#include "sim/telemetry.h"
+#include "sim/trace.h"
 #include "util/args.h"
 #include "util/csv.h"
+#include "util/html_report.h"
+#include "util/json.h"
 #include "util/prng.h"
 #include "util/table.h"
 
@@ -137,6 +145,62 @@ TEST(CsvTest, WriteToTmpFile) {
 TEST(CsvTest, WriteToBadPathFails) {
   CsvWriter csv({"x"});
   EXPECT_FALSE(csv.write("/nonexistent-dir/impossible.csv"));
+}
+
+// ---- JSON escaping ----
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain.name_0"), "plain.name_0");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  // Bytes from 0x20 up, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(json_escape("\xc3\xa9 ~"), "\xc3\xa9 ~");
+  ASSERT_TRUE(parse_json("\"" + json_escape("x\x02\ny") + "\"").has_value());
+}
+
+// ---- Writers on a full disk ----
+//
+// /dev/full accepts the open and fails the write (ENOSPC), which a
+// buffered stream reports only at the flush in fclose. Every exporter
+// goes through write_file, so each must report the failure.
+
+class FullDiskTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!std::filesystem::exists(kFull)) GTEST_SKIP() << kFull << " is absent";
+  }
+  static constexpr const char* kFull = "/dev/full";
+};
+
+TEST_F(FullDiskTest, WriteFileFails) {
+  EXPECT_FALSE(write_file(kFull, "body"));
+}
+
+TEST_F(FullDiskTest, CsvWriterFails) {
+  CsvWriter csv({"x"});
+  csv.add_row({"1"});
+  EXPECT_FALSE(csv.write(kFull));
+}
+
+TEST_F(FullDiskTest, BlackBoxWriterFails) {
+  EXPECT_FALSE(write_black_box(BlackBoxBuilder("reason").to_json(), kFull));
+}
+
+TEST_F(FullDiskTest, TelemetryWriterFails) {
+  EXPECT_FALSE(simt::Telemetry().write_json(kFull));
+}
+
+TEST_F(FullDiskTest, TraceWriterFails) {
+  EXPECT_FALSE(simt::TraceRecorder().write_chrome_json(kFull));
+}
+
+TEST_F(FullDiskTest, TaskTraceWriterFails) {
+  EXPECT_FALSE(simt::TaskTrace().write_json(kFull));
+}
+
+TEST_F(FullDiskTest, HtmlReportWriterFails) {
+  EXPECT_FALSE(HtmlReportBuilder().write(kFull));
 }
 
 // ---- PRNG ----
