@@ -29,7 +29,9 @@ QueueVariant variant_from_string(const std::string& s) {
   if (s == "an") return QueueVariant::kAn;
   if (s == "rfan") return QueueVariant::kRfan;
   if (s == "mq") return QueueVariant::kMq;
-  std::fprintf(stderr, "unknown variant '%s' (base|an|rfan|mq)\n", s.c_str());
+  if (s == "distrib") return QueueVariant::kDistrib;
+  std::fprintf(stderr, "unknown variant '%s' (base|an|rfan|mq|distrib)\n",
+               s.c_str());
   std::exit(2);
 }
 
@@ -129,15 +131,15 @@ int main(int argc, char** argv) {
   args.add_int("host-every", "run a host case every Nth seed (0 = never)", 4);
   args.add_int("fuzz-seed", "replay one sim case with this seed", -1);
   args.add_int("host-seed", "replay one host case with this seed", -1);
-  args.add_string("variant", "replay: queue variant (base|an|rfan|mq)",
-                  "rfan");
+  args.add_string("variant",
+                  "replay: queue variant (base|an|rfan|mq|distrib)", "rfan");
   args.add_string("workload", "replay: workload (tree|chain|random|tasks)",
                   "tree");
   args.add_string("only-variant",
                   "sweep: pin sim cases to this comma-separated variant "
-                  "list (e.g. 'mq' or 'an,rfan,mq'), rotating through the "
-                  "list per seed instead of the full rotation (empty = "
-                  "rotate all)",
+                  "list (e.g. 'mq' or 'an,rfan,mq,distrib'), rotating "
+                  "through the list per seed instead of the default "
+                  "base/an/rfan/mq rotation (empty = default)",
                   "");
   args.add_string("only-workload",
                   "sweep: pin every sim case to this workload "

@@ -19,18 +19,19 @@
 // during some pairs cannot fail healthy code.
 //
 // The deterministic half of the profile (events popped, simulated
-// cycles, one count per executed wave op) is a pure function of the
-// schedule, so it lives in a checked-in baseline and gates via
-// bench/perf_diff: an accidental event-count or op-mix change in the
-// simulator core shows up as a diff even though wall clock wobbles.
+// cycles, one count per executed wave op, coroutine frames created) is
+// a pure function of the schedule, so it lives in a checked-in baseline
+// and gates via bench/perf_diff: an accidental event-count, op-mix or
+// frame-count change in the simulator core shows up as a diff even
+// though wall clock wobbles.
 //
 //   ./sim_throughput [--scale 0.05] [--repeat 3] [--json out.json]
 //                    [--baseline results/baselines/sim_throughput.json]
 //
 // The checked-in baseline must contain ONLY the deterministic metrics
-// (events, cycles, total_ops, ops.*) — perf_diff ignores keys that are
-// present only in the current artifact, so the wall-clock extras here
-// never trip the guard.
+// (events, cycles, total_ops, frames, ops.*) — perf_diff ignores keys
+// that are present only in the current artifact, so the wall-clock
+// extras here never trip the guard.
 #include <algorithm>
 #include <chrono>
 #include <functional>
@@ -153,13 +154,17 @@ int main(int argc, char** argv) {
   // the deterministic baseline and its wall time the overhead reference.
   simt::SimProfiler& prof = obs.profiler();
   prof.reset();
+  const std::uint64_t frames_before = simt::frames_created();
   run_pass(config, g, repeat, prof, nullptr);
+  const std::uint64_t frames = simt::frames_created() - frames_before;
   const double bare_wall = prof.wall_seconds();
   std::printf("\nbare event loop (telemetry detached):\n");
-  std::printf("  events %llu, simulated cycles %llu, wave ops %llu\n",
+  std::printf("  events %llu, simulated cycles %llu, wave ops %llu, "
+              "coroutine frames %llu\n",
               static_cast<unsigned long long>(prof.events()),
               static_cast<unsigned long long>(prof.cycles()),
-              static_cast<unsigned long long>(prof.total_ops()));
+              static_cast<unsigned long long>(prof.total_ops()),
+              static_cast<unsigned long long>(frames));
   std::printf("  wall %.3f ms, %.3g events/sec\n", bare_wall * 1e3,
               prof.events_per_sec());
   std::printf("\nper-event-type wall-clock attribution (sampled):\n");
@@ -170,6 +175,7 @@ int main(int argc, char** argv) {
   obs.record_metric("events", static_cast<double>(prof.events()));
   obs.record_metric("cycles", static_cast<double>(prof.cycles()));
   obs.record_metric("total_ops", static_cast<double>(prof.total_ops()));
+  obs.record_metric("frames", static_cast<double>(frames));
   for (unsigned i = 0; i < simt::SimProfiler::kOps; ++i) {
     const auto op = static_cast<simt::TraceOp>(i);
     obs.record_metric(std::string("ops.") + simt::to_string(op),

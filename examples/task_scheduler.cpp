@@ -11,6 +11,7 @@
 #include <map>
 
 #include "core/counters.h"
+#include "core/ext_schedulers.h"
 #include "tasks/task_engine.h"
 #include "util/args.h"
 #include "util/prng.h"
@@ -34,8 +35,7 @@ int main(int argc, char** argv) {
 
   // Task payloads are unique ids; the framework tracks each task's
   // spawn depth.
-  const QueueLayout layout = make_device_queue(dev, 1 << 22);
-  auto queue = make_queue_variant(variant, layout);
+  auto queue = make_scheduler(dev, variant, 1 << 22);
 
   // Host-side task logic: data-dependent fan-out (0-4 children) driven
   // by a deterministic PRNG, so the DAG is irregular but reproducible.
@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run.stats.cas_failures));
 
   // Conservation invariant: every enqueued token was processed.
-  const std::uint64_t rear = dev.read_word(layout.rear_addr());
-  const std::uint64_t completed = dev.read_word(layout.completed_addr());
+  const std::uint64_t rear = dev.read_word(queue->rear_of(0));
+  const std::uint64_t completed = dev.read_word(queue->completed_of(0));
   std::printf("queue says: enqueued=%llu completed=%llu (%s)\n",
               static_cast<unsigned long long>(rear),
               static_cast<unsigned long long>(completed),

@@ -35,9 +35,9 @@ Cluster::Cluster(const simt::DeviceConfig& config,
   if (options_.variant != QueueVariant::kBase &&
       options_.variant != QueueVariant::kAn &&
       options_.variant != QueueVariant::kRfan) {
-    // The host router injects through DeviceQueue::host_push and the
-    // barrier reads DeviceQueue::unfinished, which both assume the one
-    // shared ring; the extension schedulers have other layouts.
+    // The host router injects through DeviceQueue::host_push, which
+    // writes sub-ring 0 and so assumes the one shared ring: MQ and
+    // DISTRIB route tokens by band or CU, and LOCK-STACK is no ring.
     throw simt::SimError(
         "Cluster supports the BASE/AN/RF-AN ring schedulers only");
   }
@@ -242,7 +242,14 @@ ClusterRun Cluster::run(const DeviceKernelFactory& make_factory,
     }
 
     guard_tripped = step >= kMaxSupersteps;
-    const bool is_quiescent = quiescent(router);
+    // No verdict before every kernel has started: until then no wave has
+    // run, so a cluster whose kernels create their first work when they
+    // start only looks quiescent.
+    bool started = true;
+    for (std::uint32_t d = 0; d < n; ++d) {
+      started &= devices_[d]->launch_start() <= horizon;
+    }
+    const bool is_quiescent = started && quiescent(router);
     // Every event queue drained yet the system is not quiescent: work
     // is still outstanding (queued tokens, Completed < Rear) but no
     // wave is left to consume it. Nothing can ever make progress again,

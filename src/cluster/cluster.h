@@ -18,7 +18,11 @@
 //     Reservation-counting Rears make this sound: a task's remote
 //     children are reserved in a transfer ring before the task reports
 //     complete, so in-flight work always holds at least one of the
-//     three conditions open.
+//     three conditions open. Quiescence assumes kernels create work
+//     only when they start or from tokens they dequeue, so no barrier
+//     gives a verdict until every device's launch has started (a
+//     kernel's launch overhead spans many quanta, and before it an
+//     empty cluster only looks quiescent).
 //   - Determinism: one host thread, fixed iteration orders (device
 //     index, source-major ring drains, FIFO pending), and the same
 //     seeded per-device simulators — same seeds + device count give

@@ -1,10 +1,13 @@
 // BucketedMultiQueue: a priority-banded generalization of the RF/AN
 // queue (delta-stepping / A* support, ROADMAP's priority dimension).
 //
-// One epoch-tagged ring per priority band, each with its own unbounded
-// Front/Rear/Completed ticket counters; tokens are routed to a band by
-// a host-side cost-to-bucket map evaluated at publish time. Within a
-// band the protocol is exactly RF/AN: demand is aggregated per wave,
+// The bands are the sub-rings of the ring core (DeviceQueue with
+// RingSplit::kBands): one epoch-tagged ring per priority band, each with
+// its own unbounded Front/Rear/Completed ticket counters. Tokens are
+// routed to a band by a host-side cost-to-bucket map evaluated at
+// publish time, and the core's fetch-add enqueue reserves each band's
+// share of a wave's batch with one atomic add. Within a band the
+// protocol is exactly RF/AN: demand is aggregated per wave,
 // one non-failing Atomic Fetch-Add claims the whole batch, and hungry
 // lanes monitor epoch-tagged dna sentinels — the retry-free property is
 // preserved per band (no CAS, no queue-empty exception, no claim
@@ -65,53 +68,22 @@ class BucketedMultiQueue final : public DeviceQueue {
     return QueueVariant::kMq;
   }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
-  Kernel<void> publish(Wave& w, WaveQueueState& st) override;
   // Count-only completion cannot credit the right band's Completed
   // counter (closure would mis-fire); throws SimError. Drivers must use
   // report_complete_tickets.
   Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
   Kernel<void> report_complete_tickets(
       Wave& w, std::span<const std::uint64_t> tickets) override;
-  Kernel<bool> all_done(Wave& w) override;
+  // The core's seed, after forgetting which closures were recorded.
   void seed(simt::Device& dev, std::span<const std::uint64_t> tokens) override;
 
-  [[nodiscard]] std::uint64_t occupancy(const simt::Device& dev) const override;
-  [[nodiscard]] std::uint32_t num_bands() const override { return bands_; }
-  [[nodiscard]] std::uint64_t band_of(std::uint64_t ticket) const override {
-    return ticket >> kTokenBits;
-  }
-  [[nodiscard]] std::uint64_t band_occupancy(const simt::Device& dev,
-                                             std::uint32_t band) const override;
-  // Per-band counters plus the host-recomputed closure frontier.
-  [[nodiscard]] QueueSnapshot snapshot(const simt::Device& dev) const override;
-
-  [[nodiscard]] std::uint64_t per_band_capacity() const { return per_band_; }
-
-  [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override;
-
  protected:
-  [[nodiscard]] std::uint64_t progress_signature(simt::Device& dev) const override;
+  // The band map, clamped to the band count.
+  [[nodiscard]] std::uint32_t route(std::uint64_t token,
+                                    std::uint32_t cu) const override;
 
  private:
-  [[nodiscard]] std::uint64_t mapped_band(std::uint64_t token) const;
-  [[nodiscard]] Addr front_of(std::uint32_t b) const { return counters_.at(b); }
-  [[nodiscard]] Addr rear_of(std::uint32_t b) const {
-    return counters_.at(bands_ + b);
-  }
-  [[nodiscard]] Addr completed_of(std::uint32_t b) const {
-    return counters_.at(2ull * bands_ + b);
-  }
-  [[nodiscard]] static constexpr std::uint64_t encode_ticket(
-      std::uint64_t band, std::uint64_t local) {
-    return (band << kTokenBits) | local;
-  }
-
-  std::uint32_t bands_;
-  std::uint64_t per_band_;
   BandMap band_map_;
-  // [fronts | rears | completed], one word per band per counter; rears
-  // and completed contiguous so all_done snapshots them in one load.
-  simt::Buffer counters_;
   // Host-side closure bookkeeping: bands whose kBandClose has been
   // recorded (deduplicates the per-wave observations).
   std::vector<bool> close_recorded_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <vector>
 
 #include "core/counters.h"
 
@@ -32,39 +33,185 @@ std::string_view to_string(QueueVariant v) {
   return "?";
 }
 
-QueueLayout make_device_queue(simt::Device& dev, std::uint64_t capacity) {
+// ---- The ring core: control block, seeding and host reads ----
+
+DeviceQueue::DeviceQueue(simt::Device& dev, std::uint64_t capacity)
+    : DeviceQueue(dev, capacity, RingSplit::kNone, 1) {}
+
+DeviceQueue::DeviceQueue(simt::Device& dev, std::uint64_t capacity,
+                         RingSplit split, std::uint32_t rings)
+    : split_(split),
+      rings_(rings),
+      completion_words_(split == RingSplit::kBands ? rings : 1) {
   if (capacity == 0) {
-    throw simt::SimError("make_device_queue: capacity must be positive");
+    throw simt::SimError("DeviceQueue: capacity must be positive");
   }
-  QueueLayout q;
-  q.ctrl = dev.alloc(4);
-  q.slots = dev.alloc(capacity);
-  q.capacity = capacity;
-  reset_device_queue(dev, q);
-  return q;
+  if (rings == 0 || rings + completion_words_ > kWaveWidth) {
+    throw simt::SimError(
+        "DeviceQueue: need 1..63 sub-rings whose Rears and Completeds fit "
+        "one vector load");
+  }
+  per_ring_ = std::max<std::uint64_t>(capacity / rings, 1);
+  capacity_ = per_ring_ * rings;
+  ctrl_ = dev.alloc(4);
+  slots_ = dev.alloc(capacity_);
+  block_ = split == RingSplit::kNone ? ctrl_ : dev.alloc(block_words());
+  dev.fill(ctrl_, 0);
+  dev.fill(slots_, slot_empty_word(0));
+  dev.fill(block_, 0);
 }
 
-void reset_device_queue(simt::Device& dev, const QueueLayout& q) {
-  dev.fill(q.ctrl, 0);
-  dev.fill(q.slots, slot_empty_word(0));
-}
-
-void seed_device_queue(simt::Device& dev, const QueueLayout& q,
-                       std::span<const std::uint64_t> tokens) {
-  if (tokens.size() > q.capacity) {
-    throw simt::SimError("seed_device_queue: seed batch exceeds queue capacity");
-  }
-  // Full reset first: a reused layout must not carry Front/Completed (or
-  // stale ring contents) into the new run's termination detection.
-  reset_device_queue(dev, q);
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i] > kMaxToken) {
-      throw simt::SimError(
-          "seed_device_queue: token exceeds the 48-bit ring payload");
+void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
+  // Full reset first: a reused queue must not carry counters (or stale
+  // ring contents) into the new run's termination detection.
+  dev.fill(ctrl_, 0);
+  dev.fill(block_, 0);
+  dev.fill(slots_, slot_empty_word(0));
+  std::vector<std::uint64_t> rear(rings_, 0);
+  resident_ = 0;
+  for (const std::uint64_t token : tokens) {
+    if (token > kMaxToken) {
+      throw simt::SimError("seed: token exceeds the 48-bit ring payload");
     }
-    dev.write_word(q.slot_addr(i), slot_full_word(0, tokens[i]));
+    const std::uint32_t k = route(token, 0);
+    if (rear[k] == per_ring_) {
+      throw simt::SimError("seed: batch exceeds a ring's capacity");
+    }
+    // Every seed lands in epoch 0 of its sub-ring.
+    const std::uint64_t ticket = encode_ticket(k, rear[k]++);
+    dev.write_word(slot_addr(slot_of(ticket).index), slot_full_word(0, token));
+    ++resident_;
+    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, ticket, token,
+                                dev.now());
   }
-  dev.write_word(q.rear_addr(), tokens.size());
+  for (std::uint32_t k = 0; k < rings_; ++k) dev.write_word(rear_of(k), rear[k]);
+}
+
+bool DeviceQueue::host_push(simt::Device& dev, std::uint64_t token) {
+  const std::uint64_t rear = dev.read_word(rear_of(0));
+  const SlotRef at = slot_of(rear);
+  const Addr slot = slot_addr(at.index);
+  if (dev.read_word(slot) != slot_empty_word(at.epoch)) return false;
+  dev.write_word(slot, slot_full_word(at.epoch, token));
+  dev.write_word(rear_of(0), rear + 1);
+  ++resident_;
+  dev.protocol().host_publish(*this, simt::HostOrigin::kRouter, rear, token,
+                              dev.now());
+  return true;
+}
+
+std::uint64_t DeviceQueue::unfinished(const simt::Device& dev) const {
+  std::uint64_t rear = 0, done = 0;
+  for (std::uint32_t k = 0; k < rings_; ++k) rear += dev.read_word(rear_of(k));
+  for (std::uint32_t k = 0; k < completion_words_; ++k) {
+    done += dev.read_word(completed_of(k));
+  }
+  return rear > done ? rear - done : 0;
+}
+
+std::uint64_t DeviceQueue::occupancy(const simt::Device& dev) const {
+  std::uint64_t total = 0;
+  for (std::uint32_t k = 0; k < rings_; ++k) {
+    const std::uint64_t front = dev.read_word(front_of(k));
+    const std::uint64_t rear = dev.read_word(rear_of(k));
+    total += rear > front ? rear - front : 0;
+  }
+  return total;
+}
+
+std::uint64_t DeviceQueue::band_occupancy(const simt::Device& dev,
+                                          std::uint32_t band) const {
+  if (split_ != RingSplit::kBands) return band == 0 ? occupancy(dev) : 0;
+  const std::uint64_t front = dev.read_word(front_of(band));
+  const std::uint64_t rear = dev.read_word(rear_of(band));
+  return rear > front ? rear - front : 0;
+}
+
+std::uint64_t DeviceQueue::resident_tokens(const simt::Device&) const {
+  return resident_;
+}
+
+std::uint64_t DeviceQueue::resident_tokens_scan(const simt::Device& dev) const {
+  std::uint64_t n = 0;
+  for (std::uint64_t i = 0; i < capacity_; ++i) {
+    if (!slot_is_empty(dev.read_word(slot_addr(i)))) ++n;
+  }
+  return n;
+}
+
+QueueSnapshot DeviceQueue::snapshot(const simt::Device& dev) const {
+  QueueSnapshot s;
+  s.variant = std::string(to_string(variant()));
+  s.capacity = capacity_;
+  s.per_band_capacity = split_ == RingSplit::kBands ? per_ring_ : capacity_;
+  s.resident = resident_tokens(dev);
+  // One entry per band. The dump schema has one Completed per entry, so
+  // a queue whose sub-rings share one completion word sums them into one.
+  const bool banded = split_ == RingSplit::kBands;
+  const std::uint32_t entries = banded ? rings_ : 1;
+  s.bands.resize(entries);
+  for (std::uint32_t k = 0; k < rings_; ++k) {
+    QueueBandSnapshot& b = s.bands[banded ? k : 0];
+    b.front += dev.read_word(front_of(k));
+    b.rear += dev.read_word(rear_of(k));
+  }
+  for (std::uint32_t k = 0; k < completion_words_; ++k) {
+    s.bands[k].completed = dev.read_word(completed_of(k));
+  }
+  for (std::uint32_t b = 0; b < entries; ++b) {
+    s.bands[b].band = b;
+    s.bands[b].occupancy =
+        s.bands[b].rear > s.bands[b].front ? s.bands[b].rear - s.bands[b].front
+                                           : 0;
+  }
+  if (banded) {
+    // Host-side recomputation of the closure frontier (the prefix rule
+    // the banded multi-queue applies in acquire_slots — stable once
+    // observed).
+    while (s.closure_frontier < entries &&
+           s.bands[s.closure_frontier].completed ==
+               s.bands[s.closure_frontier].rear) {
+      ++s.closure_frontier;
+    }
+  }
+  return s;
+}
+
+std::uint64_t DeviceQueue::progress_signature(simt::Device& dev) const {
+  std::uint64_t sig = 0;
+  for (std::uint64_t i = 0; i < block_words(); ++i) {
+    sig += dev.read_word(block_.at(i));
+  }
+  const auto& u = dev.stats().user;
+  return sig + u[kTasksProcessed] + u[kTokensEnqueued] + u[kEdgesRelaxed];
+}
+
+Kernel<bool> DeviceQueue::all_done(Wave& w) {
+  // One coalesced snapshot of every Rear and Completed. Completed ==
+  // Rear means every token ever enqueued has been fully processed,
+  // which (since a task's children are enqueued before its completion
+  // is reported) implies no further work can appear. Rears count ticket
+  // reservations, so parked (reserved-but-unwritten) tokens hold
+  // termination open; a claim past Rear never does (Fronts are not
+  // consulted). The single ring loads (Completed, Rear); a split queue
+  // loads [Rears | Completeds], contiguous in its block.
+  std::array<Addr, kWaveWidth> addrs{};
+  std::array<std::uint64_t, kWaveWidth> values{};
+  if (split_ == RingSplit::kNone) {
+    addrs[0] = completed_of(0);
+    addrs[1] = rear_of(0);
+    co_await w.load_lanes(LaneMask{0b11}, addrs, values);
+    co_return values[0] == values[1];
+  }
+  const unsigned words = rings_ + completion_words_;
+  for (unsigned i = 0; i < words; ++i) addrs[i] = rear_of(0) + i;
+  const LaneMask mask =
+      words >= kWaveWidth ? simt::kAllLanes : ((LaneMask{1} << words) - 1);
+  co_await w.load_lanes(mask, addrs, values);
+  std::uint64_t pushed = 0, done = 0;
+  for (unsigned i = 0; i < rings_; ++i) pushed += values[i];
+  for (unsigned i = rings_; i < words; ++i) done += values[i];
+  co_return done == pushed;
 }
 
 // ---- Shared dequeue phase 2: data arrival (paper Listing 2) ----
@@ -89,7 +236,7 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
   // producer — or for termination — like any other not-yet-arrived slot).
   std::array<Addr, kWaveWidth> addrs{};
   for_lanes(st.assigned, [&](unsigned lane) {
-    addrs[lane] = layout_.slots.base + st.slot[lane];
+    addrs[lane] = slots_.base + st.slot[lane];
   });
   std::array<std::uint64_t, kWaveWidth> values{};
   co_await w.load_lanes(st.assigned, addrs, values);
@@ -127,40 +274,11 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
   co_return arrived | eager;
 }
 
-void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
-  seed_device_queue(dev, layout_, tokens);
-  resident_ = tokens.size();
-  // Seed tokens occupy tickets 0..n-1 of epoch 0.
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, i, tokens[i],
-                                dev.now());
-  }
-}
-
-bool DeviceQueue::host_push(simt::Device& dev, std::uint64_t token) {
-  const std::uint64_t rear = dev.read_word(layout_.rear_addr());
-  const SlotRef at = slot_of(rear);
-  const Addr slot = layout_.slot_addr(at.index);
-  if (dev.read_word(slot) != slot_empty_word(at.epoch)) return false;
-  dev.write_word(slot, slot_full_word(at.epoch, token));
-  dev.write_word(layout_.rear_addr(), rear + 1);
-  ++resident_;
-  dev.protocol().host_publish(*this, simt::HostOrigin::kRouter, rear, token,
-                              dev.now());
-  return true;
-}
-
-std::uint64_t DeviceQueue::unfinished(const simt::Device& dev) const {
-  const std::uint64_t rear = dev.read_word(layout_.rear_addr());
-  const std::uint64_t done = dev.read_word(layout_.completed_addr());
-  return rear > done ? rear - done : 0;
-}
-
 Kernel<void> DeviceQueue::report_complete(Wave& w, std::uint32_t count) {
   if (count == 0) co_return;
   co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
   w.bump(kQueueAtomics);
-  co_await w.atomic_add(completion_counter(), count);
+  co_await w.atomic_add(completed_of(0), count);
   w.device().protocol().complete(w, count, 0);
 }
 
@@ -169,65 +287,6 @@ Kernel<void> DeviceQueue::report_complete_tickets(
   // Single-band queues only need the count; forwarding keeps the
   // simulated event stream identical to a direct report_complete call.
   co_await report_complete(w, static_cast<std::uint32_t>(tickets.size()));
-}
-
-std::uint64_t DeviceQueue::occupancy(const simt::Device& dev) const {
-  const std::uint64_t front = dev.read_word(layout_.front_addr());
-  const std::uint64_t rear = dev.read_word(layout_.rear_addr());
-  return rear > front ? rear - front : 0;
-}
-
-std::uint64_t DeviceQueue::resident_tokens(const simt::Device&) const {
-  return resident_;
-}
-
-QueueSnapshot DeviceQueue::snapshot(const simt::Device& dev) const {
-  QueueSnapshot s;
-  s.variant = std::string(to_string(variant()));
-  s.capacity = layout_.capacity;
-  s.per_band_capacity = layout_.capacity;
-  s.resident = resident_tokens(dev);
-  QueueBandSnapshot b;
-  b.front = dev.read_word(layout_.front_addr());
-  b.rear = dev.read_word(layout_.rear_addr());
-  b.completed = dev.read_word(layout_.completed_addr());
-  b.occupancy = b.rear > b.front ? b.rear - b.front : 0;
-  s.bands.push_back(b);
-  return s;
-}
-
-std::uint64_t DeviceQueue::resident_tokens_scan(const simt::Device& dev) const {
-  std::uint64_t n = 0;
-  for (std::uint64_t i = 0; i < layout_.capacity; ++i) {
-    if (!slot_is_empty(dev.read_word(layout_.slot_addr(i)))) ++n;
-  }
-  return n;
-}
-
-Kernel<bool> DeviceQueue::all_done(Wave& w) {
-  // One coalesced snapshot of (Completed, Rear). Completed == Rear means
-  // every token ever enqueued has been fully processed, which (since a
-  // task's children are enqueued before its completion is reported)
-  // implies no further work can appear. Rear counts ticket reservations,
-  // so parked (reserved-but-unwritten) tokens hold termination open.
-  std::array<Addr, kWaveWidth> addrs{};
-  addrs[0] = layout_.completed_addr();
-  addrs[1] = layout_.rear_addr();
-  std::array<std::uint64_t, kWaveWidth> values{};
-  co_await w.load_lanes(LaneMask{0b11}, addrs, values);
-  co_return values[0] == values[1];
-}
-
-std::uint64_t DeviceQueue::progress_signature(simt::Device& dev) const {
-  // Sum of monotone counters: any claim, reservation, completion,
-  // processed task, enqueued token or relaxed edge anywhere on the
-  // device changes it. Deliberately excludes poll/idle counters, which
-  // keep ticking in a genuine deadlock.
-  const auto& u = dev.stats().user;
-  return dev.read_word(layout_.front_addr()) +
-         dev.read_word(layout_.rear_addr()) +
-         dev.read_word(layout_.completed_addr()) + u[kTasksProcessed] +
-         u[kTokensEnqueued] + u[kEdgesRelaxed];
 }
 
 // ---- Shared dequeue phase 1 tail: claimed tickets become monitors ----
@@ -327,7 +386,7 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
       token[i] = st.parked[i].token;
       const SlotRef ref = slot_of(ticket[i]);
       mask |= bit(i);
-      addrs[i] = layout_.slots.base + ref.index;
+      addrs[i] = slots_.base + ref.index;
       want[i] = slot_empty_word(ref.epoch);
       full[i] = slot_full_word(ref.epoch, token[i]);
     }
@@ -372,6 +431,57 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
   }
 }
 
+// ---- Shared fetch-add enqueue (RF/AN, MQ, DISTRIB) ----
+
+Kernel<void> DeviceQueue::publish(Wave& w, WaveQueueState& st) {
+  const std::uint32_t total = st.total_new();
+  if (total == 0 && !st.has_parked()) co_return;
+  const simt::Cycle t0 = w.now();
+  simt::ProtocolStream& events = w.device().protocol();
+
+  if (total > 0) {
+    unsigned producers = 0;
+    for (auto k : st.n_new) producers += k > 0;
+    // Proxy aggregation; with sub-rings it also buckets the batch by
+    // destination (per-ring sub-counters in LDS — same one-pass cost).
+    co_await w.lds_ops(producers + 1);
+
+    // One non-failing AFA per destination sub-ring reserves that ring's
+    // share of the batch; the writes themselves go through the
+    // backpressured ring. `next` counts each ring's share, then holds
+    // its next ticket.
+    const std::uint32_t cu = w.cu_id();
+    std::array<std::uint64_t, kMaxRings> next{};
+    if (rings_ == 1) {
+      next[0] = total;
+    } else {
+      for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+        for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
+          ++next[route(st.new_tokens[lane][t], cu)];
+        }
+      }
+    }
+    for (std::uint32_t k = 0; k < rings_; ++k) {
+      if (next[k] == 0) continue;
+      w.bump(kQueueAtomics);
+      const simt::CasResult r = co_await w.atomic_add(rear_of(k), next[k]);
+      next[k] = encode_ticket(k, r.old_value);
+    }
+    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
+        const std::uint64_t token = st.new_tokens[lane][t];
+        const std::uint32_t k = rings_ == 1 ? 0 : route(token, cu);
+        park(w, st, next[k]++, token, st.new_parents[lane][t]);
+      }
+    }
+    st.clear_produce();
+    events.publish_batch(w, total);
+  }
+
+  co_await flush_parked(w, st);
+  if (total > 0) events.publish_end(w, t0);
+}
+
 // ---- RF/AN: retry-free, arbitrary-n (the proposed queue, §4) ----
 
 Kernel<void> RfanQueue::acquire_slots(Wave& w, WaveQueueState& st) {
@@ -386,40 +496,10 @@ Kernel<void> RfanQueue::acquire_slots(Wave& w, WaveQueueState& st) {
 
   // One non-failing AFA reserves n tickets for the whole wavefront.
   w.bump(kQueueAtomics);
-  const simt::CasResult r = co_await w.atomic_add(layout_.front_addr(), n);
+  const simt::CasResult r = co_await w.atomic_add(front_of(0), n);
   bind_claim_run(w, st, r.old_value, n);
   co_await w.compute(2);  // ticket -> (slot, epoch) conversion
   w.device().protocol().acquire_end(w, t0, n);
-}
-
-Kernel<void> RfanQueue::publish(Wave& w, WaveQueueState& st) {
-  const std::uint32_t total = st.total_new();
-  if (total == 0 && !st.has_parked()) co_return;
-  const simt::Cycle t0 = w.now();
-  simt::ProtocolStream& events = w.device().protocol();
-
-  if (total > 0) {
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
-    co_await w.lds_ops(producers + 1);
-
-    // One AFA reserves tickets for every newly discovered token in the
-    // wave; the writes themselves go through the backpressured ring.
-    w.bump(kQueueAtomics);
-    const simt::CasResult r = co_await w.atomic_add(layout_.rear_addr(), total);
-
-    std::uint64_t ticket = r.old_value;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        park(w, st, ticket++, st.new_tokens[lane][t], st.new_parents[lane][t]);
-      }
-    }
-    st.clear_produce();
-    events.publish_batch(w, total);
-  }
-
-  co_await flush_parked(w, st);
-  if (total > 0) events.publish_end(w, t0);
 }
 
 // ---- AN: arbitrary-n via proxy thread, but CAS-based (retries) ----
@@ -433,8 +513,8 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   // One coalesced snapshot of (Front, Rear) — adjacent words — gates the
   // queue-empty exception before any atomic is issued.
   std::array<Addr, kWaveWidth> snap_addr{};
-  snap_addr[0] = layout_.front_addr();
-  snap_addr[1] = layout_.rear_addr();
+  snap_addr[0] = front_of(0);
+  snap_addr[1] = rear_of(0);
   std::array<std::uint64_t, kWaveWidth> snap{};
   co_await w.load_lanes(LaneMask{0b11}, snap_addr, snap);
   if (snap[0] >= snap[1]) {
@@ -446,7 +526,7 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   // The proxy runs a CAS loop claiming up to n entries bounded by the
   // Rear it read; folded-in failed attempts surface as retries.
   const simt::CasResult r =
-      co_await w.atomic_bounded_add(layout_.front_addr(), n, snap[1]);
+      co_await w.atomic_bounded_add(front_of(0), n, snap[1]);
   // Every claim that landed between our snapshot and our service would
   // have failed one CAS of this loop; pay those retries as round trips.
   const std::uint64_t drift =
@@ -483,9 +563,9 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
     // Proxy CAS loop reserving `total` tickets. Rear is an unbounded
     // counter now — the loop cannot fail on capacity — but claims racing
     // in ahead of ours are still failed attempts, paid as round trips.
-    const std::uint64_t rear_before = co_await w.load(layout_.rear_addr());
+    const std::uint64_t rear_before = co_await w.load(rear_of(0));
     const simt::CasResult r =
-        co_await w.atomic_bounded_add(layout_.rear_addr(), total, kNoBound);
+        co_await w.atomic_bounded_add(rear_of(0), total, kNoBound);
     const std::uint64_t drift = std::min<std::uint64_t>(
         r.old_value > rear_before ? r.old_value - rear_before : 0, 16);
     if (drift > 0) {
@@ -533,8 +613,8 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
 
   // Coalesced (Front, Rear) snapshot for the queue-empty check.
   std::array<Addr, kWaveWidth> snap_addr{};
-  snap_addr[0] = layout_.front_addr();
-  snap_addr[1] = layout_.rear_addr();
+  snap_addr[0] = front_of(0);
+  snap_addr[1] = rear_of(0);
   std::array<std::uint64_t, kWaveWidth> snap{};
   co_await w.load_lanes(LaneMask{0b11}, snap_addr, snap);
   const std::uint64_t rear = snap[1];
@@ -550,7 +630,7 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   std::array<std::uint64_t, kWaveWidth> old{};
   std::array<std::uint64_t, kWaveWidth> retries{};
   for_lanes(trying, [&](unsigned lane) {
-    addrs[lane] = layout_.front_addr();
+    addrs[lane] = front_of(0);
     ones[lane] = 1;
     bound[lane] = rear;
   });
@@ -611,7 +691,7 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
     std::array<std::uint64_t, kWaveWidth> old{};
     std::array<std::uint64_t, kWaveWidth> retries{};
     for_lanes(pending, [&](unsigned lane) {
-      addrs[lane] = layout_.rear_addr();
+      addrs[lane] = rear_of(0);
       ones[lane] = 1;
       bound[lane] = kNoBound;
     });
@@ -647,7 +727,7 @@ Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {
   const unsigned lanes = std::min<std::uint32_t>(count, kWaveWidth);
   LaneMask mask = lanes >= kWaveWidth ? simt::kAllLanes : (bit(lanes) - 1);
   for (unsigned lane = 0; lane < lanes; ++lane) {
-    addrs[lane] = layout_.completed_addr();
+    addrs[lane] = completed_of(0);
     ones[lane] = 1;
   }
   // A lane can finish more than one token per cycle only with budget >
@@ -660,23 +740,7 @@ Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {
 
 void stamp_task_meta(simt::TaskTrace& trace, const DeviceQueue& queue) {
   trace.set_meta("variant", std::string(to_string(queue.variant())));
-  trace.set_meta("capacity", std::to_string(queue.layout().capacity));
-}
-
-std::unique_ptr<DeviceQueue> make_queue_variant(QueueVariant variant,
-                                                QueueLayout layout) {
-  switch (variant) {
-    case QueueVariant::kBase:
-      return std::make_unique<BaseQueue>(layout);
-    case QueueVariant::kAn:
-      return std::make_unique<AnQueue>(layout);
-    case QueueVariant::kRfan:
-      return std::make_unique<RfanQueue>(layout);
-    default:
-      throw simt::SimError(
-          "make_queue_variant handles the paper's three variants; use "
-          "make_scheduler for the extension schedulers");
-  }
+  trace.set_meta("capacity", std::to_string(queue.capacity()));
 }
 
 }  // namespace scq

@@ -49,7 +49,7 @@ Kernel<void> LockedStack::acquire_slots(Wave& w, WaveQueueState& st) {
       if (index == top - take) return;
       --index;
       served |= bit(lane);
-      addrs[lane] = layout_.slots.base + index;
+      addrs[lane] = slots_.base + index;
     });
     std::array<std::uint64_t, kWaveWidth> values{};
     co_await w.load_lanes(served, addrs, values);
@@ -88,7 +88,7 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
   }
 
   const std::uint64_t top = co_await w.load(top_addr());
-  std::uint64_t space = layout_.capacity - top;
+  std::uint64_t space = capacity() - top;
   std::uint64_t index = top;
   bool wrote_any = false;
 
@@ -106,7 +106,7 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
     std::array<std::uint64_t, kWaveWidth> vals{};
     for (std::uint32_t i = 0; i < chunk; ++i) {
       mask |= bit(i);
-      addrs[i] = layout_.slots.base + index++;
+      addrs[i] = slots_.base + index++;
       vals[i] = slot_full_word(0, st.parked[base + i].token);
     }
     co_await w.store_lanes(mask, addrs, vals);
@@ -138,7 +138,7 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         if (written < write_new) {
           mask |= bit(chunk);
-          addrs[chunk] = layout_.slots.base + index++;
+          addrs[chunk] = slots_.base + index++;
           vals[chunk] = slot_full_word(0, st.new_tokens[lane][t]);
           ++written;
           if (++chunk == kWaveWidth) {
@@ -169,18 +169,18 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
 }
 
 void LockedStack::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
-  if (tokens.size() > layout_.capacity) {
+  if (tokens.size() > capacity()) {
     throw simt::SimError("LockedStack: seed exceeds capacity");
   }
   // Full reset: Top/pushed/Completed/lock and every slot sentinel, so a
-  // reused layout cannot corrupt termination detection.
-  dev.fill(layout_.ctrl, 0);
-  dev.fill(layout_.slots, slot_empty_word(0));
+  // reused stack cannot corrupt termination detection.
+  dev.fill(ctrl_, 0);
+  dev.fill(slots_, slot_empty_word(0));
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     if (tokens[i] > kMaxToken) {
       throw simt::SimError("LockedStack: seed token exceeds kMaxToken");
     }
-    dev.write_word(layout_.slot_addr(i), slot_full_word(0, tokens[i]));
+    dev.write_word(slot_addr(i), slot_full_word(0, tokens[i]));
   }
   dev.write_word(top_addr(), tokens.size());
   dev.write_word(pushed_addr(), tokens.size());
@@ -190,44 +190,9 @@ void LockedStack::seed(simt::Device& dev, std::span<const std::uint64_t> tokens)
 // DistributedQueue
 // ---------------------------------------------------------------------
 
-namespace {
-
-QueueLayout make_distributed_layout(simt::Device& dev, std::uint64_t capacity,
-                                    std::uint32_t num_queues) {
-  if (num_queues == 0 || num_queues >= kWaveWidth) {
-    throw simt::SimError("DistributedQueue: need 1..63 sub-queues");
-  }
-  QueueLayout layout;
-  layout.ctrl = dev.alloc(4);  // completed lives in the counter block instead
-  const std::uint64_t per = std::max<std::uint64_t>(capacity / num_queues, 1);
-  layout.slots = dev.alloc(per * num_queues);
-  layout.capacity = per * num_queues;
-  dev.fill(layout.ctrl, 0);
-  dev.fill(layout.slots, slot_empty_word(0));
-  return layout;
-}
-
-}  // namespace
-
 DistributedQueue::DistributedQueue(simt::Device& dev, std::uint64_t capacity,
                                    std::uint32_t num_queues)
-    : DeviceQueue(make_distributed_layout(dev, capacity, num_queues)),
-      num_queues_(num_queues),
-      per_queue_(layout_.capacity / num_queues) {
-  // [fronts | rears | completed]: rears and completed are contiguous so
-  // all_done can snapshot them with a single vector load.
-  counters_ = dev.alloc(2ull * num_queues_ + 1);
-  dev.fill(counters_, 0);
-}
-
-std::uint64_t DistributedQueue::progress_signature(simt::Device& dev) const {
-  std::uint64_t sig = 0;
-  for (std::uint64_t i = 0; i < 2ull * num_queues_ + 1; ++i) {
-    sig += dev.read_word(counters_.at(i));
-  }
-  const auto& u = dev.stats().user;
-  return sig + u[kTasksProcessed] + u[kTokensEnqueued] + u[kEdgesRelaxed];
-}
+    : DeviceQueue(dev, capacity, RingSplit::kHomes, num_queues) {}
 
 Kernel<std::uint64_t> DistributedQueue::claim_from(Wave& w, WaveQueueState& st,
                                                    std::uint32_t q) {
@@ -257,85 +222,18 @@ Kernel<void> DistributedQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   if (n == 0) co_return;
   co_await w.lds_ops(n + 1);  // proxy aggregation, as in AN/RF-AN
 
-  const std::uint32_t own = w.cu_id() % num_queues_;
+  const std::uint32_t queues = rings();
+  const std::uint32_t own = w.cu_id() % queues;
   std::uint64_t got = co_await claim_from(w, st, own);
 
   // Own queue dry: steal from one rotating victim per work cycle.
-  if (st.hungry && num_queues_ > 1) {
+  if (st.hungry && queues > 1) {
     const std::uint32_t victim =
-        (own + 1 + steal_rotor_++ % (num_queues_ - 1)) % num_queues_;
+        (own + 1 + steal_rotor_++ % (queues - 1)) % queues;
     got += co_await claim_from(w, st, victim);
   }
   if (got == 0) {
     w.bump(kEmptyRetries, static_cast<std::uint64_t>(std::popcount(st.hungry)));
-  }
-}
-
-Kernel<void> DistributedQueue::publish(Wave& w, WaveQueueState& st) {
-  const std::uint32_t total = st.total_new();
-  if (total == 0 && !st.has_parked()) co_return;
-
-  if (total > 0) {
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
-    co_await w.lds_ops(producers + 1);
-
-    // RF/AN-style reservation: one non-failing AFA on the home
-    // sub-queue's (unbounded) Rear; the ring writes go through the
-    // shared backpressure path with per-sub-queue slot mapping.
-    const std::uint32_t own = w.cu_id() % num_queues_;
-    w.bump(kQueueAtomics);
-    const simt::CasResult r = co_await w.atomic_add(rear_of(own), total);
-
-    std::uint64_t local = r.old_value;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        park(w, st, encode_ticket(own, local++), st.new_tokens[lane][t],
-             st.new_parents[lane][t]);
-      }
-    }
-    st.clear_produce();
-  }
-
-  co_await flush_parked(w, st);
-}
-
-Kernel<bool> DistributedQueue::all_done(Wave& w) {
-  // One vector load over [rears..., completed]: K+1 contiguous words.
-  // Rears count reservations, so parked tokens hold termination open.
-  const unsigned lanes = num_queues_ + 1;
-  std::array<Addr, kWaveWidth> addrs{};
-  for (unsigned i = 0; i < lanes; ++i) addrs[i] = counters_.at(num_queues_ + i);
-  std::array<std::uint64_t, kWaveWidth> values{};
-  const LaneMask mask =
-      lanes >= kWaveWidth ? simt::kAllLanes : ((LaneMask{1} << lanes) - 1);
-  co_await w.load_lanes(mask, addrs, values);
-  std::uint64_t pushed = 0;
-  for (unsigned q = 0; q < num_queues_; ++q) pushed += values[q];
-  co_return values[num_queues_] == pushed;
-}
-
-void DistributedQueue::seed(simt::Device& dev,
-                            std::span<const std::uint64_t> tokens) {
-  if (tokens.size() > per_queue_) {
-    throw simt::SimError("DistributedQueue: seed exceeds sub-queue capacity");
-  }
-  // Full reset of every sub-queue's counters and sentinels.
-  dev.fill(counters_, 0);
-  dev.fill(layout_.slots, slot_empty_word(0));
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i] > kMaxToken) {
-      throw simt::SimError("DistributedQueue: seed token exceeds kMaxToken");
-    }
-    dev.write_word(layout_.slot_addr(i),
-                   slot_full_word(0, tokens[i]));  // sub-queue 0
-  }
-  dev.write_word(rear_of(0), tokens.size());
-  resident_ = tokens.size();
-  // Sub-queue 0, local tickets 0..n-1: encode_ticket(0, i) == i.
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, i, tokens[i],
-                                dev.now());
   }
 }
 
@@ -346,11 +244,13 @@ std::unique_ptr<DeviceQueue> make_scheduler(simt::Device& dev,
                                             std::uint64_t capacity) {
   switch (variant) {
     case QueueVariant::kBase:
+      return std::make_unique<BaseQueue>(dev, capacity);
     case QueueVariant::kAn:
+      return std::make_unique<AnQueue>(dev, capacity);
     case QueueVariant::kRfan:
-      return make_queue_variant(variant, make_device_queue(dev, capacity));
+      return std::make_unique<RfanQueue>(dev, capacity);
     case QueueVariant::kStack:
-      return std::make_unique<LockedStack>(make_device_queue(dev, capacity));
+      return std::make_unique<LockedStack>(dev, capacity);
     case QueueVariant::kDistrib:
       return std::make_unique<DistributedQueue>(dev, capacity,
                                                 dev.config().num_cus);

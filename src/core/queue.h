@@ -25,6 +25,13 @@
 // O(total tokens ever enqueued) — and the only remaining abort is a
 // deadlock detector for capacities genuinely too small for the in-flight
 // working set.
+//
+// All three, and the extension schedulers (ext_schedulers.h,
+// bucketed_queue.h), are built on one ring core, DeviceQueue: one
+// control block of K sub-rings over one slot array (K = 1 here), one
+// ticket encoding, one host seed, one set of host-side reads and one
+// fetch-add enqueue. Each scheduler keeps only its claim path and, for
+// AN and BASE, its CAS reservation.
 #pragma once
 
 #include <array>
@@ -100,33 +107,6 @@ inline constexpr unsigned kMaxWorkBudget = 32;
 // any consume, claim, reservation, completion or relaxed edge anywhere
 // on the device resets the count.
 inline constexpr std::uint32_t kPublishDeadlockRounds = 4096;
-
-// Queue control block + slot array in device global memory.
-struct QueueLayout {
-  simt::Buffer ctrl;   // [0]=Front  [1]=Rear  [2]=Completed
-  simt::Buffer slots;  // capacity words, initialized to slot_empty_word(0)
-  std::uint64_t capacity = 0;
-
-  [[nodiscard]] Addr front_addr() const { return ctrl.at(0); }
-  [[nodiscard]] Addr rear_addr() const { return ctrl.at(1); }
-  [[nodiscard]] Addr completed_addr() const { return ctrl.at(2); }
-  [[nodiscard]] Addr slot_addr(std::uint64_t i) const { return slots.at(i); }
-};
-
-// Allocates and initializes a device queue (host side, pre-launch §3.1).
-QueueLayout make_device_queue(simt::Device& dev, std::uint64_t capacity);
-
-// Re-initializes an existing queue (all slots empty at epoch 0, counters
-// zero).
-void reset_device_queue(simt::Device& dev, const QueueLayout& q);
-
-// Seeds initial task tokens (slot i = full(0, tokens[i]), Rear =
-// tokens.size()) and resets the rest of the control block (Front,
-// Completed) plus all remaining slots, so a reused layout cannot carry
-// stale counters into termination detection. Throws SimError when the
-// seed batch exceeds capacity or a token exceeds kMaxToken.
-void seed_device_queue(simt::Device& dev, const QueueLayout& q,
-                       std::span<const std::uint64_t> tokens);
 
 [[nodiscard]] constexpr std::array<std::uint64_t, kWaveWidth> filled_lanes(
     std::uint64_t v) {
@@ -270,16 +250,41 @@ enum class QueueVariant {
 };
 [[nodiscard]] std::string_view to_string(QueueVariant v);
 
-// Interface shared by the three variants so driver kernels (BFS) are
-// variant-agnostic. As a simt::TicketSpace it tells the protocol
-// stream's views where each ticket lives: slot_of places a ticket in
-// the ring, and num_bands and band_of name its priority band (the
-// banded multi-queue overrides them). The queues feed every view —
+// How a queue's slot array splits into sub-rings, and where their
+// counters live. Sub-ring k owns slots [k * per_ring, (k + 1) * per_ring)
+// and its own unbounded Front and Rear tickets.
+enum class RingSplit : std::uint8_t {
+  // One ring. [Front, Rear, Completed] are the first three words of the
+  // 4-word ctrl header (LOCK-STACK reads the fourth as its lock).
+  kNone,
+  // Priority bands (the banded multi-queue): a block after the slots
+  // holds [Fronts | Rears | Completeds], one Completed per band, and a
+  // ticket's sub-ring is its band.
+  kBands,
+  // Per-CU home rings (the distributed queue): a block after the slots
+  // holds [Fronts | Rears | Completed], one Completed shared by all.
+  kHomes,
+};
+
+// The ring core every scheduler is built on: the control block of K
+// sub-rings over one slot array, the ticket encoding, host seeding,
+// every host-side read, the fetch-add enqueue and the shared claim and
+// slot-monitor steps. A scheduler adds only what the paper's study
+// varies: how it claims tickets and, for AN and BASE, its CAS
+// reservation. As a simt::TicketSpace it tells the protocol stream's
+// views where each ticket lives. The queues feed every view —
 // telemetry included — by emitting protocol steps; none names a sink or
 // a metric.
+//
+// Tickets are (k << kTokenBits) | local: sub-ring k's local ticket t
+// lives in slot k * per_ring + t % per_ring during ring epoch
+// t / per_ring. With one ring a ticket is the plain counter value.
 class DeviceQueue : public simt::TicketSpace {
  public:
-  explicit DeviceQueue(QueueLayout layout) : layout_(layout) {}
+  // Allocates one ring of `capacity` slots (> 0) on `dev`: the 4-word
+  // ctrl header, then the slots, all counters zero and every slot the
+  // epoch-0 empty sentinel.
+  DeviceQueue(simt::Device& dev, std::uint64_t capacity);
   virtual ~DeviceQueue() = default;
   DeviceQueue(const DeviceQueue&) = delete;
   DeviceQueue& operator=(const DeviceQueue&) = delete;
@@ -292,19 +297,21 @@ class DeviceQueue : public simt::TicketSpace {
   // hungry (queue-empty exception -> retry next cycle).
   virtual Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) = 0;
 
-  // Enqueue: reserve Rear tickets for all st.n_new tokens (arbitrary-n
-  // variants reserve the whole wave's batch with one atomic; BASE loops
-  // per token), then attempt to write every outstanding token — parked
-  // leftovers from earlier cycles first. Tokens whose slot has not
-  // recycled stay parked in st; callers must keep invoking publish()
-  // (the persistent-thread drivers do so every work cycle) until
-  // st.has_parked() clears.
-  virtual Kernel<void> publish(Wave& w, WaveQueueState& st) = 0;
+  // Enqueue: reserve Rear tickets for all st.n_new tokens, then attempt
+  // to write every outstanding token — parked leftovers from earlier
+  // cycles first. Tokens whose slot has not recycled stay parked in st;
+  // callers must keep invoking publish() (the persistent-thread drivers
+  // do so every work cycle) until st.has_parked() clears. The default
+  // is the retry-free fetch-add enqueue (RF/AN, MQ, DISTRIB): the proxy
+  // aggregates the wave's batch in LDS and issues one non-failing
+  // atomic add on each destination sub-ring's Rear (route() picks the
+  // sub-ring per token). AN and BASE reserve through CAS loops instead.
+  virtual Kernel<void> publish(Wave& w, WaveQueueState& st);
 
   // Reports `count` tasks finished (drives termination detection). The
   // default is the arbitrary-n designs' proxy-aggregated path: the proxy
   // sums the wave's completions in LDS and issues one atomic add on
-  // completion_counter().
+  // completed_of(0).
   virtual Kernel<void> report_complete(Wave& w, std::uint32_t count);
 
   // Per-ticket completion reporting. Single-band queues only need the
@@ -325,46 +332,54 @@ class DeviceQueue : public simt::TicketSpace {
   Kernel<LaneMask> check_arrival(Wave& w, WaveQueueState& st,
                                  std::span<std::uint64_t> tokens);
 
-  // True once every enqueued token has been fully processed (Completed
-  // == Rear read in one coalesced snapshot). Rear counts *reserved*
-  // tickets, so parked (reserved-but-unwritten) tokens keep this false
-  // until they are published and processed. Virtual: distributed
-  // schedulers snapshot several tails.
-  virtual Kernel<bool> all_done(Wave& w);
+  // True once every enqueued token has been fully processed (every
+  // Completed summed equals every Rear summed, read in one coalesced
+  // snapshot). Rears count *reserved* tickets, so parked
+  // (reserved-but-unwritten) tokens keep this false until they are
+  // published and processed.
+  Kernel<bool> all_done(Wave& w);
 
-  // Host-side seeding of initial task tokens (default: contiguous slots
-  // from index 0 with Rear = count; resets the control block).
+  // Host-side seeding of initial task tokens (§3.1): resets the control
+  // block and every slot, then places each token at the next local
+  // ticket of the sub-ring route(token, 0) picks (the host seeds as CU
+  // 0). Throws SimError when a sub-ring's share exceeds its capacity or
+  // a token exceeds kMaxToken.
   virtual void seed(simt::Device& dev, std::span<const std::uint64_t> tokens);
 
   // Host-side push of one token mid-run (the cluster router's
-  // injection at a superstep barrier): writes it over Rear's slot and
-  // advances Rear, but only when that slot holds the current epoch's
-  // empty sentinel — the rule device producers obey. Returns false,
-  // writing nothing, when the slot has not recycled yet. Like seed's
-  // default, it assumes the one shared ring: the cluster rejects the
-  // banded and extension schedulers.
+  // injection at a superstep barrier): writes it over sub-ring 0's Rear
+  // slot and advances that Rear, but only when the slot holds the
+  // current epoch's empty sentinel — the rule device producers obey.
+  // Returns false, writing nothing, when the slot has not recycled yet.
+  // The cluster runs only the single-ring schedulers.
   bool host_push(simt::Device& dev, std::uint64_t token);
 
-  // Host-side count of tickets reserved but not yet reported complete
-  // (Rear - Completed): zero exactly when the queue's own termination
+  // ---- Host-side reads of the control block (no simulated cycles) ----
+
+  // Tickets reserved but not yet reported complete (every Rear minus
+  // every Completed): zero exactly when the queue's own termination
   // test holds. The cluster barrier reads it on every device at every
-  // superstep, so it costs two word reads and no simulated cycles.
+  // superstep.
   [[nodiscard]] std::uint64_t unfinished(const simt::Device& dev) const;
 
-  // Host-side backlog snapshot for the telemetry windows: tickets
-  // reserved but not yet claimed (Rear - Front). May transiently exceed
-  // capacity, since Rear counts reservations, not written slots. Costs
-  // no simulated cycles. Extension schedulers with other control
-  // layouts override.
+  // Backlog for the telemetry windows: tickets reserved but not yet
+  // claimed (Rear - Front, per sub-ring, summed). May transiently
+  // exceed capacity, since Rear counts reservations, not written slots.
+  // The locked stack overrides it with Top.
   [[nodiscard]] virtual std::uint64_t occupancy(const simt::Device& dev) const;
 
-  // Host-side count of ring slots currently holding a token (full
-  // words). Bounded by capacity by construction; exposed so tests and
-  // the telemetry windows can watch the O(capacity) residency
-  // invariant. Maintained incrementally at the slot write/recycle sites
-  // (O(1) per call — a window gauge reads it at every window close)
-  // and exact whenever no fill/recycle store is in flight; see
-  // resident_tokens_scan for the memory ground truth.
+  // Backlog of one priority band, for the per-band telemetry gauges.
+  // Queues without bands report everything as band 0.
+  [[nodiscard]] std::uint64_t band_occupancy(const simt::Device& dev,
+                                             std::uint32_t band) const;
+
+  // Count of ring slots currently holding a token (full words). Bounded
+  // by capacity by construction; exposed so tests and the telemetry
+  // windows can watch the O(capacity) residency invariant. Maintained
+  // incrementally at the slot write/recycle sites (O(1) per call — a
+  // window gauge reads it at every window close) and exact whenever no
+  // fill/recycle store is in flight; see resident_tokens_scan for the
+  // memory ground truth.
   [[nodiscard]] virtual std::uint64_t resident_tokens(const simt::Device& dev) const;
 
   // Ground-truth recount of full slots straight from ring memory
@@ -375,38 +390,62 @@ class DeviceQueue : public simt::TicketSpace {
   // popped words in place and overrides resident_tokens with Top).
   [[nodiscard]] std::uint64_t resident_tokens_scan(const simt::Device& dev) const;
 
-  [[nodiscard]] const QueueLayout& layout() const { return layout_; }
+  // Control-block snapshot for the black-box dump: one entry per
+  // priority band plus the closure frontier for the banded multi-queue,
+  // otherwise one entry holding every sub-ring's counters summed.
+  [[nodiscard]] QueueSnapshot snapshot(const simt::Device& dev) const;
 
-  // Ring placement of a Rear/Front ticket. The default is the single
-  // shared ring; DistributedQueue and BucketedMultiQueue override to
-  // decode their sub-queue / band encodings. The locked stack's tickets
-  // are raw indices below capacity, so the default maps them to epoch 0
-  // unchanged.
-  [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override {
-    return {ticket % layout_.capacity, ticket / layout_.capacity};
+  // ---- Geometry ----
+
+  [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
+  [[nodiscard]] std::uint32_t rings() const { return rings_; }
+  [[nodiscard]] std::uint64_t per_ring_capacity() const { return per_ring_; }
+  [[nodiscard]] Addr slot_addr(std::uint64_t i) const { return slots_.at(i); }
+  // Sub-ring k's counter words. Queues whose sub-rings share one
+  // completion word (every split but kBands) keep it at completed_of(0).
+  [[nodiscard]] Addr front_of(std::uint32_t k) const { return block_.at(k); }
+  [[nodiscard]] Addr rear_of(std::uint32_t k) const {
+    return block_.at(rings_ + k);
+  }
+  [[nodiscard]] Addr completed_of(std::uint32_t k) const {
+    return block_.at(2ull * rings_ + k);
   }
 
-  // Priority-band introspection. Single-band queues report one band
-  // (TicketSpace's num_bands and band_of); BucketedMultiQueue overrides
-  // all three.
-  // Host-side backlog of one band (reserved-but-unclaimed tickets),
-  // for the per-band telemetry gauges.
-  [[nodiscard]] virtual std::uint64_t band_occupancy(const simt::Device& dev,
-                                                     std::uint32_t band) const {
-    return band == 0 ? occupancy(dev) : 0;
+  // Ring placement of a Rear/Front ticket. The locked stack's tickets
+  // are raw indices below capacity, so they map to epoch 0 unchanged.
+  [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const final {
+    const std::uint64_t local = ticket & kMaxToken;
+    return {(ticket >> kTokenBits) * per_ring_ + local % per_ring_,
+            local / per_ring_};
   }
-
-  // Host-side control-block snapshot for the black-box dump (no
-  // simulated cost). The default reads the shared Front/Rear/Completed
-  // block as one band; BucketedMultiQueue overrides with per-band
-  // counters plus the closure frontier.
-  [[nodiscard]] virtual QueueSnapshot snapshot(const simt::Device& dev) const;
+  // Priority bands are the sub-rings of a kBands queue; every other
+  // queue is one band.
+  [[nodiscard]] std::uint32_t num_bands() const final {
+    return split_ == RingSplit::kBands ? rings_ : 1;
+  }
+  [[nodiscard]] std::uint64_t band_of(std::uint64_t ticket) const final {
+    return split_ == RingSplit::kBands ? ticket >> kTokenBits : 0;
+  }
 
  protected:
-  // The counter report_complete's default adds to: Completed of the
-  // shared control block (DistributedQueue keeps its own).
-  [[nodiscard]] virtual Addr completion_counter() const {
-    return layout_.completed_addr();
+  // K = `rings` sub-rings of max(capacity / K, 1) slots each: the 4-word
+  // ctrl header, the slots, then (for a split queue) the counter block.
+  // A split queue never reads the header, but allocating it keeps every
+  // later device address, and so every schedule, where it was.
+  DeviceQueue(simt::Device& dev, std::uint64_t capacity, RingSplit split,
+              std::uint32_t rings);
+
+  [[nodiscard]] static constexpr std::uint64_t encode_ticket(
+      std::uint64_t ring, std::uint64_t local) {
+    return (ring << kTokenBits) | local;
+  }
+
+  // The sub-ring a token published from CU `cu` enters. Single-ring
+  // queues answer 0; the banded multi-queue routes by its band map, the
+  // distributed queue to the CU's home ring.
+  [[nodiscard]] virtual std::uint32_t route(std::uint64_t /*token*/,
+                                            std::uint32_t /*cu*/) const {
+    return 0;
   }
 
   // Claim bookkeeping shared by every ring scheduler: each lane of
@@ -426,12 +465,13 @@ class DeviceQueue : public simt::TicketSpace {
   // effect by a few cycles — exact at every quiescent point.
   std::uint64_t resident_ = 0;
 
-  // Device progress signature for the deadlock detector: any change
-  // anywhere (claims, reservations, completions, processed tasks,
-  // relaxed edges) means the system is not deadlocked. Host-side reads,
-  // no simulated cost. Extension schedulers with other counter blocks
-  // override.
-  [[nodiscard]] virtual std::uint64_t progress_signature(simt::Device& dev) const;
+  // Device progress signature for the deadlock detector: the sum of
+  // every counter word plus the processed-task, enqueued-token and
+  // relaxed-edge counts. Any claim, reservation, completion or progress
+  // anywhere on the device changes it; poll/idle counters, which keep
+  // ticking in a genuine deadlock, are left out. Host-side reads, no
+  // simulated cost.
+  [[nodiscard]] std::uint64_t progress_signature(simt::Device& dev) const;
 
   // Appends (ticket, token) to st.parked (throws SimError past
   // kMaxParked — the engine's production throttle makes that
@@ -462,17 +502,34 @@ class DeviceQueue : public simt::TicketSpace {
       "queue full: publish deadlocked, capacity below the in-flight "
       "working set";
 
-  QueueLayout layout_;
+  simt::Buffer ctrl_;   // the 4-word header
+  simt::Buffer slots_;  // capacity_ slot words
+
+ private:
+  // The termination snapshot loads every Rear and Completed in one
+  // vector load, so at least one completion word must fit beside them.
+  static constexpr std::uint32_t kMaxRings = kWaveWidth - 1;
+
+  // Words of the counter block: Fronts, Rears and the completion words.
+  [[nodiscard]] std::uint64_t block_words() const {
+    return 2ull * rings_ + completion_words_;
+  }
+
+  RingSplit split_;
+  std::uint32_t rings_;
+  std::uint32_t completion_words_;  // rings_ for kBands, else 1
+  std::uint64_t per_ring_ = 0;
+  std::uint64_t capacity_ = 0;
+  simt::Buffer block_;  // ctrl_ itself for kNone
 };
 
 // ---- Variants ----
 
-class RfanQueue final : public DeviceQueue {
+class RfanQueue : public DeviceQueue {
  public:
   using DeviceQueue::DeviceQueue;
   [[nodiscard]] QueueVariant variant() const override { return QueueVariant::kRfan; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
-  Kernel<void> publish(Wave& w, WaveQueueState& st) override;
 };
 
 class AnQueue final : public DeviceQueue {
@@ -491,9 +548,6 @@ class BaseQueue final : public DeviceQueue {
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
   Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
 };
-
-std::unique_ptr<DeviceQueue> make_queue_variant(QueueVariant variant,
-                                                QueueLayout layout);
 
 // Stamps run-identifying metadata (queue variant, capacity) into a task
 // trace; drivers call it once per attach.

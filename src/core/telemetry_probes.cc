@@ -19,12 +19,15 @@ void register_scheduler_probes(simt::Telemetry& telemetry, simt::Device& dev,
   telemetry.register_window_gauge(
       tel::kResidentTokens,
       [d, q](simt::Cycle) { return q->resident_tokens(*d); });
-  const simt::Addr front = queue.layout().front_addr();
-  const simt::Addr rear = queue.layout().rear_addr();
+  // Contention on the counter words: every sub-ring's Front and Rear.
   telemetry.register_window_gauge(
-      tel::kAtomicBacklog, [d, front, rear](simt::Cycle now) {
-        return d->atomic_unit().backlog(front, now) +
-               d->atomic_unit().backlog(rear, now);
+      tel::kAtomicBacklog, [d, q](simt::Cycle now) {
+        std::uint64_t backlog = 0;
+        for (std::uint32_t k = 0; k < q->rings(); ++k) {
+          backlog += d->atomic_unit().backlog(q->front_of(k), now) +
+                     d->atomic_unit().backlog(q->rear_of(k), now);
+        }
+        return backlog;
       });
   telemetry.register_window_counter(tel::kWinPublishStalls, [d](simt::Cycle) {
     return d->stats().user[kPublishStalls];

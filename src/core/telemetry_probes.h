@@ -5,7 +5,9 @@
 //
 //   queue.occupancy         Rear - Front (tokens enqueued, unclaimed)
 //   queue.resident_tokens   ring slots holding a token (≤ capacity)
-//   atomic_unit.backlog     cycles of FIFO backlog on Front + Rear
+//   atomic_unit.backlog     cycles of FIFO backlog on every sub-ring's
+//                           Front + Rear (read through the ring core,
+//                           so MQ and DISTRIB report their own words)
 //   queue.publish_stalls,   per-window deltas of the scheduler's
 //   queue.cas_failures,     counters
 //   queue.atomics

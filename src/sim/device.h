@@ -87,6 +87,9 @@ class Device {
   // otherwise, and returns the RunResult exactly as launch() would.
   RunResult launch_end();
   [[nodiscard]] bool launch_active() const { return launch_active_; }
+  // Cycle at which the current launch's first waves start: launch_begin
+  // plus the kernel launch overhead. No wave runs before it.
+  [[nodiscard]] Cycle launch_start() const { return launch_start_; }
 
   [[nodiscard]] const DeviceConfig& config() const { return config_; }
   [[nodiscard]] GlobalMemory& mem() { return mem_; }

@@ -10,6 +10,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -21,7 +22,12 @@ class Wave;
 
 namespace detail {
 
+inline thread_local std::uint64_t tls_frames_created = 0;
+
 struct PromiseBase {
+  // Counted here rather than in operator new: see frames_created().
+  PromiseBase() noexcept { ++tls_frames_created; }
+
   // Set on the top-level kernel of a wave; used to notify the engine.
   Wave* wave = nullptr;
   // Parent coroutine awaiting this kernel (nested kernels only).
@@ -58,19 +64,38 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
+// The promise's return slot: the one part of Kernel<T> that depends on T.
+template <typename T>
+struct ReturnSlot {
+  T value{};
+  void return_value(T v) { value = std::move(v); }
+  T take() { return std::move(value); }
+};
+template <>
+struct ReturnSlot<void> {
+  void return_void() {}
+  void take() {}
+};
+
 }  // namespace detail
+
+// Coroutine frames this thread has created, counted where each promise
+// is constructed, so a compiler that elides a frame's heap allocation
+// cannot change the count. The schedule fixes it exactly; bench/
+// sim_throughput pins it.
+[[nodiscard]] inline std::uint64_t frames_created() {
+  return detail::tls_frames_created;
+}
 
 // Kernel<T>: coroutine returning T; Kernel<> (void) for procedures.
 template <typename T = void>
 class [[nodiscard]] Kernel {
  public:
-  struct promise_type : detail::PromiseBase {
-    T value{};
+  struct promise_type : detail::PromiseBase, detail::ReturnSlot<T> {
     Kernel get_return_object() {
       return Kernel{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     detail::FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value = std::move(v); }
   };
 
   Kernel() = default;
@@ -97,7 +122,7 @@ class [[nodiscard]] Kernel {
       }
       T await_resume() {
         if (h.promise().error) std::rethrow_exception(h.promise().error);
-        return std::move(h.promise().value);
+        return h.promise().take();
       }
     };
     return Awaiter{h_};
@@ -109,62 +134,6 @@ class [[nodiscard]] Kernel {
   }
 
  private:
-  explicit Kernel(std::coroutine_handle<promise_type> h) : h_(h) {}
-  void destroy() {
-    if (h_) {
-      h_.destroy();
-      h_ = {};
-    }
-  }
-  std::coroutine_handle<promise_type> h_{};
-};
-
-template <>
-class [[nodiscard]] Kernel<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Kernel get_return_object() {
-      return Kernel{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    detail::FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() {}
-  };
-
-  Kernel() = default;
-  Kernel(Kernel&& other) noexcept : h_(std::exchange(other.h_, {})) {}
-  Kernel& operator=(Kernel&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      h_ = std::exchange(other.h_, {});
-    }
-    return *this;
-  }
-  Kernel(const Kernel&) = delete;
-  Kernel& operator=(const Kernel&) = delete;
-  ~Kernel() { destroy(); }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
-        h.promise().continuation = parent;
-        return h;
-      }
-      void await_resume() {
-        if (h.promise().error) std::rethrow_exception(h.promise().error);
-      }
-    };
-    return Awaiter{h_};
-  }
-
-  [[nodiscard]] std::coroutine_handle<promise_type> handle() const { return h_; }
-  [[nodiscard]] std::coroutine_handle<promise_type> release() {
-    return std::exchange(h_, {});
-  }
-
- private:
-  friend class Wave;
   explicit Kernel(std::coroutine_handle<promise_type> h) : h_(h) {}
   void destroy() {
     if (h_) {

@@ -398,6 +398,38 @@ TEST(ClusterTest, ResidentTokensMatchRingMemory) {
       << run.abort_reason;
 }
 
+// ---- Quiescence waits for the kernels to start ----
+
+TEST(ClusterTest, NoQuiescenceVerdictBeforeKernelsStart) {
+  // Regression: Spectre's launch overhead spans about 68 default quanta,
+  // and the barriers before it saw an empty cluster — nothing seeded, no
+  // wave run yet — and called it quiescent, so work a kernel creates as
+  // it starts was never routed. Device 0 sends three tokens to device 1
+  // as it starts and device 1's kernel exits at once: the router must
+  // deliver all three, and with no consumer left the run must end as a
+  // stall, not as a clean run.
+  cluster::ClusterOptions copt;
+  copt.num_devices = 2;
+  copt.queue_capacity = 64;
+  copt.xfer_capacity = 16;
+  const simt::DeviceConfig config = simt::spectre_config();
+  cluster::Cluster cl(config, copt);
+  const cluster::ClusterRun run = cl.run(
+      [&cl](std::uint32_t d) -> simt::KernelFactory {
+        if (d == 0) {
+          return [&cl](simt::Wave& w) { return send_tokens(w, cl.ring(0, 1), 3); };
+        }
+        return [](simt::Wave&) -> simt::Kernel<void> { co_return; };
+      },
+      1);
+  EXPECT_GT(run.supersteps * copt.quantum, config.kernel_launch_overhead);
+  EXPECT_EQ(run.router.drained, 3u);
+  EXPECT_EQ(run.router.delivered, 3u);
+  ASSERT_TRUE(run.aborted);
+  EXPECT_NE(run.abort_reason.find("cluster stalled"), std::string::npos)
+      << run.abort_reason;
+}
+
 // ---- Option validation ----
 
 TEST(ClusterTest, RejectsInvalidOptions) {

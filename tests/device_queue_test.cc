@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/counters.h"
-#include "core/queue.h"
+#include "core/ext_schedulers.h"
 #include "sim/device.h"
 #include "tasks/task_engine.h"
 
@@ -43,13 +43,13 @@ DeviceConfig test_config(std::uint32_t cus = 4, std::uint32_t waves = 2) {
 
 TEST(QueueLayoutTest, MakeInitializesSentinels) {
   Device dev(test_config());
-  const QueueLayout q = make_device_queue(dev, 16);
-  EXPECT_EQ(q.capacity, 16u);
-  EXPECT_EQ(dev.read_word(q.front_addr()), 0u);
-  EXPECT_EQ(dev.read_word(q.rear_addr()), 0u);
-  EXPECT_EQ(dev.read_word(q.completed_addr()), 0u);
+  const auto q = make_scheduler(dev, QueueVariant::kRfan, 16);
+  EXPECT_EQ(q->capacity(), 16u);
+  EXPECT_EQ(dev.read_word(q->front_of(0)), 0u);
+  EXPECT_EQ(dev.read_word(q->rear_of(0)), 0u);
+  EXPECT_EQ(dev.read_word(q->completed_of(0)), 0u);
   for (std::uint64_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(dev.read_word(q.slot_addr(i)), slot_empty_word(0));
+    EXPECT_EQ(dev.read_word(q->slot_addr(i)), slot_empty_word(0));
   }
 }
 
@@ -71,45 +71,43 @@ TEST(QueueLayoutTest, SlotWordEncodingRoundTrips) {
 
 TEST(QueueLayoutTest, SeedWritesTokensAndRear) {
   Device dev(test_config());
-  const QueueLayout q = make_device_queue(dev, 8);
+  const auto q = make_scheduler(dev, QueueVariant::kRfan, 8);
   const std::vector<std::uint64_t> tokens{10, 11, 12};
-  seed_device_queue(dev, q, tokens);
-  EXPECT_EQ(dev.read_word(q.rear_addr()), 3u);
-  EXPECT_EQ(dev.read_word(q.slot_addr(0)), slot_full_word(0, 10));
-  EXPECT_EQ(dev.read_word(q.slot_addr(2)), slot_full_word(0, 12));
-  EXPECT_EQ(dev.read_word(q.slot_addr(3)), slot_empty_word(0));
+  q->seed(dev, tokens);
+  EXPECT_EQ(dev.read_word(q->rear_of(0)), 3u);
+  EXPECT_EQ(dev.read_word(q->slot_addr(0)), slot_full_word(0, 10));
+  EXPECT_EQ(dev.read_word(q->slot_addr(2)), slot_full_word(0, 12));
+  EXPECT_EQ(dev.read_word(q->slot_addr(3)), slot_empty_word(0));
 }
 
 TEST(QueueLayoutTest, SeedResetsControlBlockOnReuse) {
-  // Re-seeding a used layout must not leak Front/Completed (or stale
+  // Re-seeding a used queue must not leak Front/Completed (or stale
   // ring contents) into the next run's termination detection.
   Device dev(test_config());
-  const QueueLayout q = make_device_queue(dev, 8);
-  dev.write_word(q.front_addr(), 5);
-  dev.write_word(q.rear_addr(), 9);
-  dev.write_word(q.completed_addr(), 7);
+  const auto q = make_scheduler(dev, QueueVariant::kRfan, 8);
+  dev.write_word(q->front_of(0), 5);
+  dev.write_word(q->rear_of(0), 9);
+  dev.write_word(q->completed_of(0), 7);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    dev.write_word(q.slot_addr(i), slot_full_word(1, 99));
+    dev.write_word(q->slot_addr(i), slot_full_word(1, 99));
   }
-  seed_device_queue(dev, q, std::vector<std::uint64_t>{4, 5});
-  EXPECT_EQ(dev.read_word(q.front_addr()), 0u);
-  EXPECT_EQ(dev.read_word(q.rear_addr()), 2u);
-  EXPECT_EQ(dev.read_word(q.completed_addr()), 0u);
-  EXPECT_EQ(dev.read_word(q.slot_addr(0)), slot_full_word(0, 4));
-  EXPECT_EQ(dev.read_word(q.slot_addr(1)), slot_full_word(0, 5));
+  q->seed(dev, std::vector<std::uint64_t>{4, 5});
+  EXPECT_EQ(dev.read_word(q->front_of(0)), 0u);
+  EXPECT_EQ(dev.read_word(q->rear_of(0)), 2u);
+  EXPECT_EQ(dev.read_word(q->completed_of(0)), 0u);
+  EXPECT_EQ(dev.read_word(q->slot_addr(0)), slot_full_word(0, 4));
+  EXPECT_EQ(dev.read_word(q->slot_addr(1)), slot_full_word(0, 5));
   for (std::uint64_t i = 2; i < 8; ++i) {
-    EXPECT_EQ(dev.read_word(q.slot_addr(i)), slot_empty_word(0));
+    EXPECT_EQ(dev.read_word(q->slot_addr(i)), slot_empty_word(0));
   }
 }
 
 TEST(QueueLayoutTest, SeedRejectsOversizeBatchAndToken) {
   Device dev(test_config());
-  const QueueLayout q = make_device_queue(dev, 4);
-  EXPECT_THROW(seed_device_queue(dev, q, std::vector<std::uint64_t>(5, 1)),
+  const auto q = make_scheduler(dev, QueueVariant::kRfan, 4);
+  EXPECT_THROW(q->seed(dev, std::vector<std::uint64_t>(5, 1)), simt::SimError);
+  EXPECT_THROW(q->seed(dev, std::vector<std::uint64_t>{kMaxToken + 1}),
                simt::SimError);
-  EXPECT_THROW(
-      seed_device_queue(dev, q, std::vector<std::uint64_t>{kMaxToken + 1}),
-      simt::SimError);
 }
 
 TEST(QueueVariantNames, ToString) {
@@ -124,11 +122,10 @@ class VariantTest : public ::testing::TestWithParam<QueueVariant> {};
 
 TEST_P(VariantTest, SixtyFourHungryLanesConsumeSixtyFourTokens) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 128);
-  auto queue = make_queue_variant(GetParam(), layout);
+  auto queue = make_scheduler(dev, GetParam(), 128);
   std::vector<std::uint64_t> tokens(kWaveWidth);
   std::iota(tokens.begin(), tokens.end(), 100);
-  seed_device_queue(dev, layout, tokens);
+  queue->seed(dev, tokens);
 
   std::array<std::uint64_t, kWaveWidth> got{};
   LaneMask got_mask = 0;
@@ -157,14 +154,15 @@ TEST_P(VariantTest, SixtyFourHungryLanesConsumeSixtyFourTokens) {
   // Every consumed slot must have its sentinel restored — recycled for
   // the *next* ring epoch, so the former producer can never double-fill.
   for (unsigned i = 0; i < kWaveWidth; ++i) {
-    EXPECT_EQ(dev.read_word(layout.slot_addr(i)), slot_empty_word(1));
+    EXPECT_EQ(dev.read_word(queue->slot_addr(i)), slot_empty_word(1));
   }
+  EXPECT_EQ(queue->resident_tokens(dev), 0u);
+  EXPECT_EQ(queue->resident_tokens_scan(dev), 0u);
 }
 
 TEST_P(VariantTest, PublishWritesTokensAndAdvancesRear) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 1024);
-  auto queue = make_queue_variant(GetParam(), layout);
+  auto queue = make_scheduler(dev, GetParam(), 1024);
 
   const auto result = dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
@@ -180,7 +178,7 @@ TEST_P(VariantTest, PublishWritesTokensAndAdvancesRear) {
 
   std::uint64_t expected_total = 0;
   for (unsigned lane = 0; lane < kWaveWidth; ++lane) expected_total += lane % 3;
-  EXPECT_EQ(dev.read_word(layout.rear_addr()), expected_total);
+  EXPECT_EQ(dev.read_word(queue->rear_of(0)), expected_total);
   EXPECT_EQ(result.stats.user[kTokensEnqueued], expected_total);
 
   // All published tokens present (order depends on variant), no sentinel
@@ -188,12 +186,12 @@ TEST_P(VariantTest, PublishWritesTokensAndAdvancesRear) {
   // full word carries tag 0.
   std::vector<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < expected_total; ++i) {
-    const std::uint64_t v = dev.read_word(layout.slot_addr(i));
+    const std::uint64_t v = dev.read_word(queue->slot_addr(i));
     ASSERT_FALSE(slot_is_empty(v)) << "slot " << i;
     EXPECT_EQ(slot_epoch_tag(v), 0u);
     seen.push_back(slot_payload(v));
   }
-  EXPECT_EQ(dev.read_word(layout.slot_addr(expected_total)), slot_empty_word(0));
+  EXPECT_EQ(dev.read_word(queue->slot_addr(expected_total)), slot_empty_word(0));
   std::vector<std::uint64_t> expected;
   for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
     for (unsigned k = 0; k < lane % 3; ++k) expected.push_back(lane * 10 + k);
@@ -208,8 +206,7 @@ TEST_P(VariantTest, QueueFullParksInsteadOfAborting) {
   // consumer. The ring accepts what fits and parks the rest; nothing
   // aborts and no token is lost.
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 8);
-  auto queue = make_queue_variant(GetParam(), layout);
+  auto queue = make_scheduler(dev, GetParam(), 8);
 
   WaveQueueState st{};
   const auto result = dev.launch(1, [&](Wave& w) -> Kernel<void> {
@@ -221,7 +218,7 @@ TEST_P(VariantTest, QueueFullParksInsteadOfAborting) {
   // All 64 tickets are reserved (termination stays open for parked
   // tokens), exactly capacity tokens are resident, the rest wait in the
   // wave's parked buffer.
-  EXPECT_EQ(dev.read_word(layout.rear_addr()), 64u);
+  EXPECT_EQ(dev.read_word(queue->rear_of(0)), 64u);
   EXPECT_EQ(queue->resident_tokens(dev), 8u);
   EXPECT_EQ(queue->resident_tokens_scan(dev), 8u)
       << "incremental residency accounting must match the memory contents";
@@ -234,8 +231,7 @@ TEST_P(VariantTest, ParkedTokensDrainThroughConsumersAcrossEpochs) {
   // the burst: publish 64, then alternate consume/flush until every
   // token has been delivered exactly once. Exercises 8 ring epochs.
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 8);
-  auto queue = make_queue_variant(GetParam(), layout);
+  auto queue = make_scheduler(dev, GetParam(), 8);
 
   std::vector<std::uint64_t> got;
   bool drained = false;
@@ -270,8 +266,8 @@ TEST_P(VariantTest, ParkedTokensDrainThroughConsumersAcrossEpochs) {
   for (unsigned i = 0; i < kWaveWidth; ++i) {
     EXPECT_EQ(got[i], 100 + i) << "token lost or duplicated at " << i;
   }
-  EXPECT_EQ(dev.read_word(layout.rear_addr()), 64u);
-  EXPECT_EQ(dev.read_word(layout.completed_addr()), 64u);
+  EXPECT_EQ(dev.read_word(queue->rear_of(0)), 64u);
+  EXPECT_EQ(dev.read_word(queue->completed_of(0)), 64u);
   EXPECT_EQ(queue->resident_tokens(dev), 0u);
   EXPECT_EQ(queue->resident_tokens_scan(dev), 0u)
       << "a drained ring must scan clean after 8 epochs of slot recycling";
@@ -285,8 +281,7 @@ TEST_P(VariantTest, PublishDeadlockAbortsViaDetector) {
   // counter frozen, the detector (the only remaining queue-full abort
   // site) must fire.
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 8);
-  auto queue = make_queue_variant(GetParam(), layout);
+  auto queue = make_scheduler(dev, GetParam(), 8);
 
   const auto result = dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
@@ -304,21 +299,19 @@ TEST_P(VariantTest, PublishDeadlockAbortsViaDetector) {
 
 TEST_P(VariantTest, ReportCompleteAccumulates) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 8);
-  auto queue = make_queue_variant(GetParam(), layout);
+  auto queue = make_scheduler(dev, GetParam(), 8);
   (void)dev.launch(2, [&](Wave& w) -> Kernel<void> {
     co_await queue->report_complete(w, 5);
     co_await queue->report_complete(w, 0);  // no-op
     co_await queue->report_complete(w, 2);
   });
-  EXPECT_EQ(dev.read_word(layout.completed_addr()), 14u);
+  EXPECT_EQ(dev.read_word(queue->completed_of(0)), 14u);
 }
 
 TEST_P(VariantTest, AllDoneSnapshot) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 8);
-  auto queue = make_queue_variant(GetParam(), layout);
-  seed_device_queue(dev, layout, std::vector<std::uint64_t>{1, 2});
+  auto queue = make_scheduler(dev, GetParam(), 8);
+  queue->seed(dev, std::vector<std::uint64_t>{1, 2});
   bool before = true, after = false;
   (void)dev.launch(1, [&](Wave& w) -> Kernel<void> {
     before = co_await queue->all_done(w);
@@ -347,91 +340,86 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, VariantTest,
 
 TEST(RfanQueueTest, HungryLanesOvershootAndDataArrivesLater) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 64);
-  RfanQueue queue(layout);
-  seed_device_queue(dev, layout, std::vector<std::uint64_t>{7, 8});
+  const auto queue = make_scheduler(dev, QueueVariant::kRfan, 64);
+  queue->seed(dev, std::vector<std::uint64_t>{7, 8});
 
   LaneMask first_arrival = 0, second_arrival = 0;
   (void)dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
     std::array<std::uint64_t, kWaveWidth> recv{};
     st.hungry = 0b1111;  // four hungry lanes, two tokens
-    co_await queue.acquire_slots(w, st);
+    co_await queue->acquire_slots(w, st);
     EXPECT_EQ(st.assigned, 0b1111u);  // RF/AN assigns unconditionally
-    first_arrival = co_await queue.check_arrival(w, st, recv);
+    first_arrival = co_await queue->check_arrival(w, st, recv);
     // Now publish two more tokens; the waiting monitors must see them.
     st.clear_produce();
     st.push_token(0, 9);
     st.push_token(0, 10);
-    co_await queue.publish(w, st);
-    second_arrival = co_await queue.check_arrival(w, st, recv);
+    co_await queue->publish(w, st);
+    second_arrival = co_await queue->check_arrival(w, st, recv);
   });
   EXPECT_EQ(first_arrival, 0b0011u);   // slots 0,1 had data
   EXPECT_EQ(second_arrival, 0b1100u);  // late data hit the waiting monitors
   // Front advanced once by 4: retry-free.
-  EXPECT_EQ(dev.read_word(layout.front_addr()), 4u);
+  EXPECT_EQ(dev.read_word(queue->front_of(0)), 4u);
 }
 
 TEST(RfanQueueTest, NoCasEverIssued) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 256);
-  RfanQueue queue(layout);
+  const auto queue = make_scheduler(dev, QueueVariant::kRfan, 256);
   std::vector<tasks::TaskSeed> seeds(64);
   for (std::uint64_t i = 0; i < seeds.size(); ++i) seeds[i] = {i, 0};
 
   const RunResult result =
-      tasks::run_host_tasks(dev, queue, seeds, [](tasks::TaskContext&) {});
+      tasks::run_host_tasks(dev, *queue, seeds, [](tasks::TaskContext&) {});
   EXPECT_EQ(result.stats.cas_attempts, 0u) << "retry-free property violated";
   EXPECT_FALSE(result.aborted);
 }
 
 TEST(AnQueueTest, EmptyQueueLeavesLanesHungryAndCountsRetry) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 64);
-  AnQueue queue(layout);
+  const auto queue = make_scheduler(dev, QueueVariant::kAn, 64);
 
   const auto result = dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
     st.hungry = 0b111;
-    co_await queue.acquire_slots(w, st);
+    co_await queue->acquire_slots(w, st);
     EXPECT_EQ(st.hungry, 0b111u);
     EXPECT_EQ(st.assigned, 0u);
   });
   EXPECT_EQ(result.stats.user[kEmptyRetries], 3u);
-  EXPECT_EQ(dev.read_word(layout.front_addr()), 0u) << "empty dequeue must not move Front";
+  EXPECT_EQ(dev.read_word(queue->front_of(0)), 0u) << "empty dequeue must not move Front";
 }
 
 TEST(AnQueueTest, PartialAvailabilityServesSubsetInLaneOrder) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 64);
-  AnQueue queue(layout);
-  seed_device_queue(dev, layout, std::vector<std::uint64_t>{40, 41});
+  const auto queue = make_scheduler(dev, QueueVariant::kAn, 64);
+  queue->seed(dev, std::vector<std::uint64_t>{40, 41});
 
   (void)dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
     st.hungry = 0b10110;  // lanes 1, 2, 4 hungry; only 2 tokens
-    co_await queue.acquire_slots(w, st);
+    co_await queue->acquire_slots(w, st);
     EXPECT_EQ(st.assigned, 0b00110u);  // first two hungry lanes served
     EXPECT_EQ(st.hungry, 0b10000u);
     EXPECT_EQ(st.slot[1], 0u);
     EXPECT_EQ(st.slot[2], 1u);
   });
-  EXPECT_EQ(dev.read_word(layout.front_addr()), 2u);
+  EXPECT_EQ(dev.read_word(queue->front_of(0)), 2u);
 }
 
 TEST(BaseQueueTest, LockStepCasAttemptHasOneWinner) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 256);
-  BaseQueue queue(layout);
+  const auto queue = make_scheduler(dev, QueueVariant::kBase, 256);
   std::vector<std::uint64_t> tokens(kWaveWidth);
   std::iota(tokens.begin(), tokens.end(), 0);
-  seed_device_queue(dev, layout, tokens);
+  queue->seed(dev, tokens);
 
   std::array<std::uint64_t, kWaveWidth> slots{};
   const auto result = dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
     st.hungry = simt::kAllLanes;
-    co_await queue.acquire_slots(w, st);
+    co_await queue->acquire_slots(w, st);
     // All 64 CAS loops eventually claim, but they serialize against one
     // another at the atomic unit and absorb failed attempts on the way
     // (the Fig. 1 pathology).
@@ -449,19 +437,18 @@ TEST(BaseQueueTest, LockStepCasAttemptHasOneWinner) {
 
 TEST(BaseQueueTest, FailedLanesBackOffBeforeRetrying) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 256);
-  BaseQueue queue(layout);
+  const auto queue = make_scheduler(dev, QueueVariant::kBase, 256);
   std::vector<std::uint64_t> tokens(kWaveWidth);
   std::iota(tokens.begin(), tokens.end(), 0);
-  seed_device_queue(dev, layout, tokens);
+  queue->seed(dev, tokens);
 
   (void)dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
     st.hungry = simt::kAllLanes;
-    co_await queue.acquire_slots(w, st);  // 63 losers back off
+    co_await queue->acquire_slots(w, st);  // 63 losers back off
     const auto& before = w.stats();
     const std::uint64_t attempts_before = before.cas_attempts;
-    co_await queue.acquire_slots(w, st);  // most lanes still waiting
+    co_await queue->acquire_slots(w, st);  // most lanes still waiting
     EXPECT_LT(w.stats().cas_attempts - attempts_before, 32u)
         << "backoff must keep most failed lanes out of the next attempt";
   });
@@ -469,12 +456,11 @@ TEST(BaseQueueTest, FailedLanesBackOffBeforeRetrying) {
 
 TEST(BaseQueueTest, EmptyQueueCountsRetriesPerLane) {
   Device dev(test_config());
-  const QueueLayout layout = make_device_queue(dev, 64);
-  BaseQueue queue(layout);
+  const auto queue = make_scheduler(dev, QueueVariant::kBase, 64);
   const auto result = dev.launch(1, [&](Wave& w) -> Kernel<void> {
     WaveQueueState st{};
     st.hungry = simt::kAllLanes;
-    co_await queue.acquire_slots(w, st);
+    co_await queue->acquire_slots(w, st);
     EXPECT_EQ(st.assigned, 0u);
   });
   EXPECT_EQ(result.stats.user[kEmptyRetries], 64u);
@@ -506,9 +492,8 @@ TEST_P(TreeConservation, EveryTaskProcessedExactlyOnce) {
                         static_cast<std::uint64_t>(depth)};
 
   Device dev(test_config());
-  const QueueLayout layout =
-      make_device_queue(dev, tree.expected_tasks() + 4 * kWaveWidth * 8);
-  auto queue = make_queue_variant(variant, layout);
+  auto queue =
+      make_scheduler(dev, variant, tree.expected_tasks() + 4 * kWaveWidth * 8);
 
   // Token encodes its depth in the low bits; host map counts visits.
   std::map<std::uint64_t, int> visits;
@@ -533,8 +518,8 @@ TEST_P(TreeConservation, EveryTaskProcessedExactlyOnce) {
     EXPECT_EQ(count, 1) << "token " << token << " processed " << count << " times";
   }
   EXPECT_EQ(result.stats.user[kTasksProcessed], tree.expected_tasks());
-  EXPECT_EQ(dev.read_word(layout.rear_addr()), tree.expected_tasks());
-  EXPECT_EQ(dev.read_word(layout.completed_addr()), tree.expected_tasks());
+  EXPECT_EQ(dev.read_word(queue->rear_of(0)), tree.expected_tasks());
+  EXPECT_EQ(dev.read_word(queue->completed_of(0)), tree.expected_tasks());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -557,12 +542,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PtDriverTest, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
     Device dev(test_config());
-    const QueueLayout layout = make_device_queue(dev, 4096);
-    RfanQueue queue(layout);
+    const auto queue = make_scheduler(dev, QueueVariant::kRfan, 4096);
     const std::vector<tasks::TaskSeed> seeds{{0, 0}};
     std::uint64_t next = 1;
     return tasks::run_host_tasks(
-        dev, queue, seeds, [&](tasks::TaskContext& ctx) {
+        dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
           const std::uint64_t token = ctx.payload();
           if ((token & 0xff) < 4) {
             for (int i = 0; i < 3; ++i) {
@@ -581,8 +565,7 @@ TEST(PtDriverTest, DeterministicAcrossIdenticalRuns) {
 TEST(PtDriverTest, RfanUsesFewerAtomicsThanBase) {
   auto run = [](QueueVariant variant) {
     Device dev(test_config(8, 4));
-    const QueueLayout layout = make_device_queue(dev, 1 << 16);
-    auto queue = make_queue_variant(variant, layout);
+    auto queue = make_scheduler(dev, variant, 1 << 16);
     const std::vector<tasks::TaskSeed> seeds{{0, 0}};
     std::uint64_t next = 1;
     return tasks::run_host_tasks(

@@ -105,14 +105,14 @@ TEST_P(RingWrapTest, TreeWorkloadSurvivesManyEpochs) {
     // meaningless there).
     EXPECT_EQ(queue->resident_tokens_scan(dev), 0u);
   }
-  expect_residency_bounded(telemetry, queue->layout().capacity);
+  expect_residency_bounded(telemetry, queue->capacity());
 
   if (variant == QueueVariant::kBase || variant == QueueVariant::kAn ||
       variant == QueueVariant::kRfan) {
     // The shared ring reserved one ticket per token: Rear / capacity
     // full epochs were traversed.
-    EXPECT_EQ(dev.read_word(queue->layout().rear_addr()), kTotal);
-    EXPECT_GE(kTotal / queue->layout().capacity, 3u);
+    EXPECT_EQ(dev.read_word(queue->rear_of(0)), kTotal);
+    EXPECT_GE(kTotal / queue->capacity(), 3u);
   }
   if (static_cast<std::uint64_t>(capacity) <= 8) {
     EXPECT_GT(result.stats.user[kPublishStalls], 0u)
@@ -143,10 +143,7 @@ TEST_P(RingWrapVariantTest, SeedFillingTheRingStillTerminates) {
   Device dev(test_config());
   auto queue = make_scheduler(dev, variant, 16);
 
-  std::uint64_t n_seeds = queue->layout().capacity;
-  if (auto* d = dynamic_cast<DistributedQueue*>(queue.get())) {
-    n_seeds = d->per_queue_capacity();
-  }
+  const std::uint64_t n_seeds = queue->per_ring_capacity();
   std::vector<tasks::TaskSeed> seeds;
   for (std::uint64_t i = 0; i < n_seeds; ++i) {
     seeds.push_back({i << 8, 0});  // id << 8 | depth

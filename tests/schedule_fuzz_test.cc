@@ -403,6 +403,32 @@ TEST(ScheduleFuzz, MqPrioritySweep) {
   EXPECT_EQ(ran, 207);
 }
 
+// Distributed-queue sweep: >= 200 seeded DISTRIB cases across every
+// workload and capacity, checked for exactly-once delivery with the
+// (ring, local) ticket caveats (no single-ring slot mapping, tickets
+// contiguous only per home ring).
+TEST(ScheduleFuzz, DistribSweep) {
+  const Workload workloads[] = {Workload::kTree, Workload::kChain,
+                                Workload::kRandom, Workload::kTasks};
+  const std::uint64_t capacities[] = {8, 24, 56};
+  int ran = 0;
+  for (Workload w : workloads) {
+    for (std::uint64_t cap : capacities) {
+      for (std::uint64_t seed = 1; seed <= 17; ++seed) {
+        SimFuzzCase c;
+        c.seed = seed * 0xd157u + cap;
+        c.variant = QueueVariant::kDistrib;
+        c.workload = w;
+        c.capacity = cap;
+        const FuzzOutcome out = run_sim_fuzz_case(c);
+        EXPECT_TRUE(out.ok()) << out.describe(c);
+        ++ran;
+      }
+    }
+  }
+  EXPECT_EQ(ran, 204);
+}
+
 // Dynamic-task sweep: the framework path (spawn-from-delivery, seeded
 // respawns, defer/credit shadow tasks) across every variant, so the
 // exactly-once checker covers tickets that did not exist at seed time.

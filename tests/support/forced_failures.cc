@@ -4,7 +4,7 @@
 
 #include "cluster/cluster.h"
 #include "core/black_box.h"
-#include "core/queue.h"
+#include "core/ext_schedulers.h"
 #include "sim/device.h"
 #include "sim/flight_recorder.h"
 
@@ -39,9 +39,8 @@ ForcedDump forced_publish_deadlock_dump() {
   simt::FlightRecorder recorder;
   dev.attach_flight_recorder(&recorder);
 
-  const QueueLayout layout = make_device_queue(dev, 4);
   std::unique_ptr<DeviceQueue> queue =
-      make_queue_variant(QueueVariant::kRfan, layout);
+      make_scheduler(dev, QueueVariant::kRfan, 4);
 
   // Fill every slot from the host; nothing will ever claim them.
   const std::uint64_t seeds[] = {10, 11, 12, 13};

@@ -6,6 +6,7 @@
 
 #include "core/black_box.h"
 #include "core/bucketed_queue.h"
+#include "core/ext_schedulers.h"
 #include "core/host_queue.h"
 #include "tasks/task_engine.h"
 #include "sim/flight_recorder.h"
@@ -26,6 +27,7 @@ const char* variant_cli_name(QueueVariant v) {
     case QueueVariant::kAn: return "an";
     case QueueVariant::kRfan: return "rfan";
     case QueueVariant::kMq: return "mq";
+    case QueueVariant::kDistrib: return "distrib";
     default: return "?";
   }
 }
@@ -128,8 +130,7 @@ FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
           });
     }
   } else {
-    QueueLayout layout = make_device_queue(dev, c.capacity);
-    queue = make_queue_variant(c.variant, layout);
+    queue = make_scheduler(dev, c.variant, c.capacity);
   }
 
   // Deterministic irregular task graphs on the task framework. Children
@@ -213,10 +214,14 @@ FuzzOutcome run_sim_fuzz_case(const SimFuzzCase& c,
   CheckOptions check_opt;
   check_opt.capacity = c.capacity;
   if (c.variant == QueueVariant::kMq) {
-    const auto& mq = static_cast<const BucketedMultiQueue&>(*queue);
     // Banded checking maps each ticket into its band's ring segment.
-    check_opt.num_bands = mq.num_bands();
-    check_opt.capacity = mq.per_band_capacity();
+    check_opt.num_bands = queue->num_bands();
+    check_opt.capacity = queue->per_ring_capacity();
+  } else if (c.variant == QueueVariant::kDistrib) {
+    // (ring, local) tickets: no single-ring slot mapping, and each home
+    // ring's tickets are contiguous only within that ring.
+    check_opt.capacity = 0;
+    check_opt.require_contiguous_tickets = false;
   }
   // On an abort the run stopped mid-flight: tokens legally remain
   // undelivered, but the hard invariants (exactly-once, payload match,

@@ -54,26 +54,11 @@ TEST(TaskToken, ChecksFieldOverflow) {
 
 // ---- Kernel-side engine ----
 
-// RF/AN ring that records every ticket the engine reports complete. The
-// ring protocol runs in the wrapped queue; arrival checks run on this
-// object over the same layout (its residency counter is unused here).
-class RecordingQueue final : public DeviceQueue {
+// RF/AN ring that records every ticket the engine reports complete.
+class RecordingQueue final : public RfanQueue {
  public:
-  RecordingQueue(simt::Device& dev, std::uint64_t capacity)
-      : DeviceQueue(make_device_queue(dev, capacity)), ring_(layout()) {}
+  using RfanQueue::RfanQueue;
 
-  [[nodiscard]] QueueVariant variant() const override {
-    return QueueVariant::kRfan;
-  }
-  Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override {
-    co_await ring_.acquire_slots(w, st);
-  }
-  Kernel<void> publish(Wave& w, WaveQueueState& st) override {
-    co_await ring_.publish(w, st);
-  }
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override {
-    co_await ring_.report_complete(w, count);
-  }
   Kernel<void> report_complete_tickets(
       Wave& w, std::span<const std::uint64_t> tickets) override {
     for (const std::uint64_t t : tickets) ++reported[t];
@@ -81,9 +66,6 @@ class RecordingQueue final : public DeviceQueue {
   }
 
   std::map<std::uint64_t, int> reported;  // ticket -> completion reports
-
- private:
-  RfanQueue ring_;
 };
 
 // Token t finishes at arrival when t % 3 == 0. Otherwise seeds (t < n)
@@ -148,9 +130,9 @@ TEST(TaskEngine, ArrivalFinishedLanesReportEachTicketOnce) {
     ++tokens;               // its child
     if ((t + kSeeds + 1) % 3 != 0) ++work_step_finishers;
   }
-  const std::uint64_t rear = dev.read_word(queue.layout().rear_addr());
+  const std::uint64_t rear = dev.read_word(queue.rear_of(0));
   EXPECT_EQ(rear, tokens);
-  EXPECT_EQ(dev.read_word(queue.layout().completed_addr()), rear);
+  EXPECT_EQ(dev.read_word(queue.completed_of(0)), rear);
   ASSERT_EQ(queue.reported.size(), tokens);
   for (const auto& [ticket, count] : queue.reported) {
     EXPECT_LT(ticket, rear);
@@ -198,8 +180,7 @@ TEST(TaskEngine, StopWordKeepsWavesRunningPastCompletedEqualsRear) {
     return std::make_unique<StopWordClient>(stop);
   }));
   const auto all_done = [&] {
-    return dev.read_word(queue->layout().completed_addr()) ==
-           dev.read_word(queue->layout().rear_addr());
+    return queue->unfinished(dev) == 0;
   };
   simt::Cycle horizon = 0;
   while (!all_done()) {

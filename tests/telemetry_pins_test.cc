@@ -110,16 +110,16 @@ const std::map<std::string, std::uint64_t>& pins() {
       {"base_tree_s12", 15812813502544616674ull},
       {"base_tree_s5", 4617543559134140309ull},
       {"cluster_bfs_2_devices", 15723210223960764399ull},
-      {"delta_sssp_8_bands", 1836632263383858144ull},
-      {"distrib_ternary_tree", 2013454354783364932ull},
-      {"mq_chain_s12", 4162848989587723015ull},
-      {"mq_chain_s5", 3483465286683183722ull},
-      {"mq_random_s12", 14413535358193813487ull},
-      {"mq_random_s5", 1107794437870627621ull},
-      {"mq_tasks_s12", 1540667968287408785ull},
-      {"mq_tasks_s5", 7607302697991567096ull},
-      {"mq_tree_s12", 13354163544444130261ull},
-      {"mq_tree_s5", 11908451949252730353ull},
+      {"delta_sssp_8_bands", 11913290392725448489ull},
+      {"distrib_ternary_tree", 14672415391378061324ull},
+      {"mq_chain_s12", 3092076132577871798ull},
+      {"mq_chain_s5", 11315543788938114175ull},
+      {"mq_random_s12", 3861806610215472873ull},
+      {"mq_random_s5", 17426774372537365729ull},
+      {"mq_tasks_s12", 18187995896611623700ull},
+      {"mq_tasks_s5", 13681462411272818862ull},
+      {"mq_tree_s12", 11789846793767945113ull},
+      {"mq_tree_s5", 4603558069870951245ull},
       {"rfan_chain_s12", 3010283417536943162ull},
       {"rfan_chain_s5", 8535554055574644165ull},
       {"rfan_random_s12", 3780153526197654604ull},
