@@ -42,8 +42,8 @@ std::uint32_t BucketedMultiQueue::route(std::uint64_t token,
 
 void BucketedMultiQueue::seed(simt::Device& dev,
                               std::span<const std::uint64_t> tokens) {
-  std::fill(close_recorded_.begin(), close_recorded_.end(), false);
   DeviceQueue::seed(dev, tokens);
+  std::fill(close_recorded_.begin(), close_recorded_.end(), false);
 }
 
 Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {

@@ -74,7 +74,8 @@ class BucketedMultiQueue final : public DeviceQueue {
   Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
   Kernel<void> report_complete_tickets(
       Wave& w, std::span<const std::uint64_t> tickets) override;
-  // The core's seed, after forgetting which closures were recorded.
+  // The core's seed; once it succeeds, forgets which closures were
+  // recorded.
   void seed(simt::Device& dev, std::span<const std::uint64_t> tokens) override;
 
  protected:

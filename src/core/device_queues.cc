@@ -62,27 +62,34 @@ DeviceQueue::DeviceQueue(simt::Device& dev, std::uint64_t capacity,
 }
 
 void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
-  // Full reset first: a reused queue must not carry counters (or stale
-  // ring contents) into the new run's termination detection.
+  // Check the whole batch before touching anything, so a rejected seed
+  // leaves the queue, its resident count and the protocol stream as
+  // they were.
+  std::vector<std::uint32_t> ring(tokens.size());
+  std::vector<std::uint64_t> share(rings_, 0);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i] > kMaxToken) {
+      throw simt::SimError("seed: token exceeds the 48-bit ring payload");
+    }
+    ring[i] = route(tokens[i], 0);
+    if (++share[ring[i]] > per_ring_) {
+      throw simt::SimError("seed: batch exceeds a ring's capacity");
+    }
+  }
+  // Full reset: a reused queue must not carry counters (or stale ring
+  // contents) into the new run's termination detection.
   dev.fill(ctrl_, 0);
   dev.fill(block_, 0);
   dev.fill(slots_, slot_empty_word(0));
+  resident_ = tokens.size();
   std::vector<std::uint64_t> rear(rings_, 0);
-  resident_ = 0;
-  for (const std::uint64_t token : tokens) {
-    if (token > kMaxToken) {
-      throw simt::SimError("seed: token exceeds the 48-bit ring payload");
-    }
-    const std::uint32_t k = route(token, 0);
-    if (rear[k] == per_ring_) {
-      throw simt::SimError("seed: batch exceeds a ring's capacity");
-    }
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
     // Every seed lands in epoch 0 of its sub-ring.
-    const std::uint64_t ticket = encode_ticket(k, rear[k]++);
-    dev.write_word(slot_addr(slot_of(ticket).index), slot_full_word(0, token));
-    ++resident_;
-    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, ticket, token,
-                                dev.now());
+    const std::uint64_t ticket = encode_ticket(ring[i], rear[ring[i]]++);
+    dev.write_word(slot_addr(slot_of(ticket).index),
+                   slot_full_word(0, tokens[i]));
+    dev.protocol().host_publish(*this, simt::HostOrigin::kSeed, ticket,
+                                tokens[i], dev.now());
   }
   for (std::uint32_t k = 0; k < rings_; ++k) dev.write_word(rear_of(k), rear[k]);
 }
@@ -452,13 +459,9 @@ Kernel<void> DeviceQueue::publish(Wave& w, WaveQueueState& st) {
     // its next ticket.
     const std::uint32_t cu = w.cu_id();
     std::array<std::uint64_t, kMaxRings> next{};
-    if (rings_ == 1) {
-      next[0] = total;
-    } else {
-      for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-        for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-          ++next[route(st.new_tokens[lane][t], cu)];
-        }
+    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
+        ++next[route(st.new_tokens[lane][t], cu)];
       }
     }
     for (std::uint32_t k = 0; k < rings_; ++k) {
@@ -470,7 +473,7 @@ Kernel<void> DeviceQueue::publish(Wave& w, WaveQueueState& st) {
     for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         const std::uint64_t token = st.new_tokens[lane][t];
-        const std::uint32_t k = rings_ == 1 ? 0 : route(token, cu);
+        const std::uint32_t k = route(token, cu);
         park(w, st, next[k]++, token, st.new_parents[lane][t]);
       }
     }

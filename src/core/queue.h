@@ -343,7 +343,8 @@ class DeviceQueue : public simt::TicketSpace {
   // block and every slot, then places each token at the next local
   // ticket of the sub-ring route(token, 0) picks (the host seeds as CU
   // 0). Throws SimError when a sub-ring's share exceeds its capacity or
-  // a token exceeds kMaxToken.
+  // a token exceeds kMaxToken; the batch is checked before anything is
+  // written, so a rejected seed leaves the queue as it was.
   virtual void seed(simt::Device& dev, std::span<const std::uint64_t> tokens);
 
   // Host-side push of one token mid-run (the cluster router's

@@ -424,6 +424,26 @@ TEST_P(RingCoreReads, SeededAndDrainedQueuesReportTheirCounters) {
   EXPECT_EQ(queue->resident_tokens(dev), queue->resident_tokens_scan(dev));
 }
 
+// The seed checks the whole batch before it writes: a batch that
+// overfills a sub-ring, or holds a token past the ring payload, throws
+// and leaves the previous seed's slots and counters in place.
+TEST_P(RingCoreReads, RejectedSeedLeavesTheQueueAsItWas) {
+  Device dev(test_config());
+  const auto queue = make_scheduler(dev, GetParam(), 64);
+  queue->seed(dev, std::vector<std::uint64_t>{1, 2, 3, 4, 5});
+
+  // Every small token routes to sub-ring 0, so this overfills it.
+  const std::vector<std::uint64_t> overfull(queue->per_ring_capacity() + 1, 7);
+  EXPECT_THROW(queue->seed(dev, overfull), simt::SimError);
+  EXPECT_THROW(queue->seed(dev, std::vector<std::uint64_t>{6, kMaxToken + 1}),
+               simt::SimError);
+
+  EXPECT_EQ(queue->occupancy(dev), 5u);
+  EXPECT_EQ(queue->unfinished(dev), 5u);
+  EXPECT_EQ(queue->resident_tokens(dev), 5u);
+  EXPECT_EQ(queue->resident_tokens_scan(dev), 5u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllRings, RingCoreReads,
     ::testing::Values(QueueVariant::kBase, QueueVariant::kAn,
