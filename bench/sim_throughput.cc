@@ -19,17 +19,20 @@
 // during some pairs cannot fail healthy code.
 //
 // The deterministic half of the profile (events popped, simulated
-// cycles, one count per executed wave op, coroutine frames created) is
-// a pure function of the schedule, so it lives in a checked-in baseline
-// and gates via bench/perf_diff: an accidental event-count, op-mix or
-// frame-count change in the simulator core shows up as a diff even
-// though wall clock wobbles.
+// cycles, one count per executed wave op, coroutine frames created,
+// telemetry step-metric name resolutions) is a pure function of the
+// schedule, so it lives in a checked-in baseline and gates via
+// bench/perf_diff: an accidental event-count, op-mix, frame-count or
+// name-lookup change shows up as a diff even though wall clock wobbles.
+// The count of frames above the frame pool's ceiling is reported but
+// kept out of the baseline: frame sizes depend on the compiler.
 //
 //   ./sim_throughput [--scale 0.05] [--repeat 3] [--json out.json]
 //                    [--baseline results/baselines/sim_throughput.json]
 //
 // The checked-in baseline must contain ONLY the deterministic metrics
-// (events, cycles, total_ops, frames, ops.*) — perf_diff ignores keys
+// (events, cycles, total_ops, frames, telemetry_resolutions, ops.*) —
+// perf_diff ignores keys
 // that are present only in the current artifact, so the wall-clock
 // extras here never trip the guard.
 #include <algorithm>
@@ -155,16 +158,19 @@ int main(int argc, char** argv) {
   simt::SimProfiler& prof = obs.profiler();
   prof.reset();
   const std::uint64_t frames_before = simt::frames_created();
+  const std::uint64_t above_before = simt::frames_above_pool();
   run_pass(config, g, repeat, prof, nullptr);
   const std::uint64_t frames = simt::frames_created() - frames_before;
+  const std::uint64_t frames_above = simt::frames_above_pool() - above_before;
   const double bare_wall = prof.wall_seconds();
   std::printf("\nbare event loop (telemetry detached):\n");
   std::printf("  events %llu, simulated cycles %llu, wave ops %llu, "
-              "coroutine frames %llu\n",
+              "coroutine frames %llu (%llu above the frame pool)\n",
               static_cast<unsigned long long>(prof.events()),
               static_cast<unsigned long long>(prof.cycles()),
               static_cast<unsigned long long>(prof.total_ops()),
-              static_cast<unsigned long long>(frames));
+              static_cast<unsigned long long>(frames),
+              static_cast<unsigned long long>(frames_above));
   std::printf("  wall %.3f ms, %.3g events/sec\n", bare_wall * 1e3,
               prof.events_per_sec());
   std::printf("\nper-event-type wall-clock attribution (sampled):\n");
@@ -181,6 +187,7 @@ int main(int argc, char** argv) {
     obs.record_metric(std::string("ops.") + simt::to_string(op),
                       static_cast<double>(prof.op_count(op)));
   }
+  obs.record_metric("frames_above_pool", static_cast<double>(frames_above));
   obs.record_metric("wall_ms", bare_wall * 1e3);
   obs.record_metric("events_per_sec", prof.events_per_sec());
 
@@ -243,6 +250,8 @@ int main(int argc, char** argv) {
   std::printf("  wall %.3f ms, %.3g events/sec\n",
               prof_tel.wall_seconds() * 1e3, prof_tel.events_per_sec());
   tel.print("overhead vs detached");
+  std::printf("  step-metric name resolutions %llu\n",
+              static_cast<unsigned long long>(telemetry.name_resolutions()));
   std::printf("\nper-event-type wall-clock attribution (telemetry on):\n");
   print_attribution(prof_tel);
   if (prof_tel.events() != prof_untel.events()) {
@@ -255,6 +264,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   obs.record_metric("telemetry_overhead_pct", tel.median());
+  obs.record_metric("telemetry_resolutions",
+                    static_cast<double>(telemetry.name_resolutions()));
 
   if (!obs.finish()) return 1;
   return 0;

@@ -27,7 +27,7 @@ using simt::kWaveWidth;
 // Everything one device's waves share, owned by the host front-end for
 // the duration of the cluster run.
 struct DeviceCtx {
-  const cluster::TransferRing* rings[64] = {};  // rings[dst], self null
+  DeviceQueue* xfer = nullptr;  // outgoing transfer queue (n > 1 only)
   DeviceGraph g;
   simt::Buffer owner;  // V words, owner[v] = owning device (n > 1 only)
   std::uint32_t dev_index = 0;
@@ -39,14 +39,14 @@ struct DeviceCtx {
 // The cluster kernel as a task-engine client. Tokens are cluster-packed
 // (kind | cost | vertex); the prolog resolves each kind against this
 // device's authoritative cost words, and the work step relaxes owned
-// children in place and stages the rest for their owners' transfer
-// rings — the client's side channels. The run ends on the cluster's
-// host-written stop word: a device cannot see remote work, so
-// Completed == Rear on its own ring proves nothing.
+// children in place and stages the rest for the device's transfer
+// queue — the client's side channel, which routes each to its owner.
+// The run ends on the cluster's host-written stop word: a device cannot
+// see remote work, so Completed == Rear on its own ring proves nothing.
 class ClusterClient final : public tasks::TaskWaveClient {
  public:
   ClusterClient(const DeviceCtx& ctx, simt::Addr stop)
-      : ctx_(ctx), stop_(stop), xfer_(ctx.num_devices) {}
+      : ctx_(ctx), stop_(stop) {}
 
   [[nodiscard]] std::optional<simt::Addr> stop_word() const override {
     return stop_;
@@ -187,7 +187,7 @@ class ClusterClient final : public tasks::TaskWaveClient {
       for_lanes(active & ~local_child, [&](unsigned lane) {
         // No local gate: the owner's atomic-min decides. Duplicate or
         // stale candidates die there.
-        xfer_[own_[lane]].push(
+        xfer_.push_token(
             lane, cluster::pack_token_checked(cluster::TokenKind::kCandidate,
                                               newcost_[lane], child_[lane]));
         staged_ = true;
@@ -208,28 +208,20 @@ class ClusterClient final : public tasks::TaskWaveClient {
   }
 
   [[nodiscard]] bool side_parked() const override {
-    return std::any_of(xfer_.begin(), xfer_.end(),
-                       [](const cluster::XferWaveState& x) {
-                         return x.has_parked();
-                       });
+    return xfer_.has_parked();
   }
 
-  // Remote children are reserved in their owners' transfer rings (the
-  // self entry never holds a token).
+  // Remote children are reserved in their owners' transfer sub-rings.
   Kernel<void> publish_side(Wave& w) override {
     staged_ = false;
-    for (std::uint32_t d = 0; d < ctx_.num_devices; ++d) {
-      if (xfer_[d].total_new() != 0 || xfer_[d].has_parked()) {
-        co_await ctx_.rings[d]->publish(w, xfer_[d]);
-      }
-    }
+    co_await ctx_.xfer->publish(w, xfer_);
   }
 
  private:
   const DeviceCtx& ctx_;
   simt::Addr stop_;
-  // Per-destination staging for remote children, one per device.
-  std::vector<cluster::XferWaveState> xfer_;
+  // Remote children staged for the transfer queue, and its parked ones.
+  WaveQueueState xfer_{};
   bool staged_ = false;  // xfer_ gained tokens since the last publish
   std::array<std::uint64_t, kWaveWidth> vertex_{};
   std::array<std::uint64_t, kWaveWidth> cursor_{};   // next edge index
@@ -306,7 +298,7 @@ std::vector<std::uint64_t> run_cluster_common(const simt::DeviceConfig& config,
         // result.
         if (options.task_trace != nullptr) options.task_trace->clear();
 
-        cluster::Cluster cl(config, copt);
+        cluster::Cluster cl(config, copt, part.owner);
         if (options.task_trace != nullptr) {
           stamp_task_meta(*options.task_trace, cl.queue(0));
           options.task_trace->set_meta("devices", std::to_string(n));
@@ -329,9 +321,7 @@ std::vector<std::uint64_t> run_cluster_common(const simt::DeviceConfig& config,
           ctx[d].num_devices = n;
           ctx[d].weighted = weighted;
           ctx[d].work_budget = options.work_budget;
-          for (std::uint32_t dst = 0; dst < n; ++dst) {
-            if (dst != d) ctx[d].rings[dst] = &cl.ring(d, dst);
-          }
+          if (n > 1) ctx[d].xfer = &cl.xfer(d);
         }
 
         // Seed the source at its owner: cost word 0 plus one kLocal

@@ -8,9 +8,10 @@
 //   - Tokens are cluster-packed (cluster/token.h): kind | cost |
 //     vertex. Relaxations touch only the executing device's own
 //     (authoritative) cost entries; improvements of remotely owned
-//     vertices are emitted as kCandidate tokens into the per-pair
-//     transfer rings (the client's side channels) and resolved by the
-//     owner's atomic-min at dequeue.
+//     vertices are emitted as kCandidate tokens into the device's
+//     transfer queue (the client's side channel), which routes each to
+//     its owner's sub-ring, and resolved by the owner's atomic-min at
+//     dequeue.
 //   - Termination is host-driven: the client names the stop word the
 //     cluster loop raises at global quiescence, in place of the
 //     single-queue all_done predicate (a device cannot see remote work).

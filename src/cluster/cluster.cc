@@ -20,8 +20,9 @@ constexpr std::uint64_t kMaxSupersteps = std::uint64_t{1} << 22;
 }  // namespace
 
 Cluster::Cluster(const simt::DeviceConfig& config,
-                 const ClusterOptions& options)
-    : options_(options) {
+                 const ClusterOptions& options,
+                 std::vector<std::uint32_t> owner)
+    : options_(options), owner_(std::move(owner)) {
   if (options_.num_devices == 0) {
     throw simt::SimError("Cluster: num_devices must be >= 1");
   }
@@ -43,6 +44,9 @@ Cluster::Cluster(const simt::DeviceConfig& config,
   }
 
   const std::uint32_t n = options_.num_devices;
+  for (const std::uint32_t o : owner_) {
+    if (o >= n) throw simt::SimError("Cluster: owner device out of range");
+  }
   const bool prefixed = n > 1;
   for (std::uint32_t d = 0; d < n; ++d) {
     devices_.push_back(std::make_unique<simt::Device>(config));
@@ -51,16 +55,10 @@ Cluster::Cluster(const simt::DeviceConfig& config,
     stop_flags_.push_back(devices_[d]->alloc(1).base);
     devices_[d]->write_word(stop_flags_[d], 0);
   }
-  for (std::uint32_t s = 0; s < n; ++s) {
-    rings_.emplace_back();
-    for (std::uint32_t d = 0; d < n; ++d) {
-      // Self-rings are allocated for uniform indexing but never used.
-      rings_[s].push_back(TransferRing::create(*devices_[s],
-                                               options_.xfer_capacity));
-      // Recorder unit tags: 0 is the main queue, 1 + dst is the ring
-      // toward device dst (the source is implicit in whose recorder the
-      // event landed in).
-      rings_[s][d].set_tag(1 + d);
+  if (n > 1) {
+    for (std::uint32_t s = 0; s < n; ++s) {
+      xfers_.push_back(std::make_unique<TransferQueue>(
+          *devices_[s], s, n, options_.xfer_capacity, owner_));
     }
   }
   // Flight recorders are unconditional: black-box dumps on the abort
@@ -80,15 +78,11 @@ Cluster::Cluster(const simt::DeviceConfig& config,
       if (prefixed) dev_tel->set_prefix("dev" + std::to_string(d) + ".");
       register_scheduler_probes(*dev_tel, *devices_[d], *queues_[d]);
       if (n > 1) {
-        Cluster* self = this;
-        const auto xfer_backlog = [self, d](simt::Cycle) {
-          std::uint64_t sum = 0;
-          for (std::uint32_t t = 0; t < self->num_devices(); ++t) {
-            if (t != d) sum += self->rings_[d][t].backlog(*self->devices_[d]);
-          }
-          return sum;
-        };
-        dev_tel->register_window_gauge(tel::kXferBacklog, xfer_backlog);
+        dev_tel->register_window_gauge(
+            tel::kXferBacklog,
+            [xfer = xfers_[d].get(), dev = devices_[d].get()](simt::Cycle) {
+              return xfer->occupancy(*dev);
+            });
       }
       devices_[d]->attach_telemetry(dev_tel.get());
       telemetry_.push_back(std::move(dev_tel));
@@ -115,12 +109,9 @@ std::string Cluster::assemble_black_box(const std::string& reason,
     box.add_device(n > 1 ? "dev" + std::to_string(d) : std::string{},
                    *devices_[d], queues_[d].get(), recorders_[d].get());
   }
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint32_t d = 0; d < n; ++d) {
-      if (s == d) continue;
-      box.add_ring(s, d, rings_[s][d].front(*devices_[s]),
-                   rings_[s][d].rear(*devices_[s]), rings_[s][d].capacity());
-    }
+  for (const XferRingEnds& r : xfer_ring_ends()) {
+    box.add_ring(r.src, r.dst, r.front, r.rear,
+                 xfers_[r.src]->per_ring_capacity());
   }
   if (router != nullptr) {
     const RouterStats& rs = router->stats();
@@ -142,11 +133,21 @@ std::string Cluster::occupancy_detail() const {
            std::to_string(queues_[d]->occupancy(*devices_[d])) + " resident=" +
            std::to_string(queues_[d]->resident_tokens(*devices_[d]));
   }
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint32_t d = 0; d < n; ++d) {
-      if (s == d) continue;
-      out += "; ring" + std::to_string(s) + "->" + std::to_string(d) +
-             " backlog=" + std::to_string(rings_[s][d].backlog(*devices_[s]));
+  for (const XferRingEnds& r : xfer_ring_ends()) {
+    out += "; ring" + std::to_string(r.src) + "->" + std::to_string(r.dst) +
+           " backlog=" + std::to_string(r.rear - r.front);
+  }
+  return out;
+}
+
+std::vector<XferRingEnds> Cluster::xfer_ring_ends() const {
+  std::vector<XferRingEnds> out;
+  for (std::uint32_t s = 0; s < xfers_.size(); ++s) {
+    const TransferQueue& xfer = *xfers_[s];
+    for (std::uint32_t k = 0; k < xfer.rings(); ++k) {
+      out.push_back({s, xfer.destination(k),
+                     devices_[s]->read_word(xfer.front_of(k)),
+                     devices_[s]->read_word(xfer.rear_of(k))});
     }
   }
   return out;
@@ -158,10 +159,8 @@ bool Cluster::quiescent(const Router& router) const {
   for (std::uint32_t d = 0; d < n; ++d) {
     if (queues_[d]->unfinished(*devices_[d]) != 0) return false;
   }
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint32_t d = 0; d < n; ++d) {
-      if (s != d && !rings_[s][d].quiescent(*devices_[s])) return false;
-    }
+  for (std::uint32_t s = 0; s < xfers_.size(); ++s) {
+    if (xfers_[s]->occupancy(*devices_[s]) != 0) return false;
   }
   return true;
 }
@@ -200,7 +199,7 @@ ClusterRun Cluster::run(const DeviceKernelFactory& make_factory,
     // Superstep barrier: move cross-device work while every device is
     // parked between events. Host operations cost no simulated cycles;
     // the transfer latency the model charges is the quantum itself.
-    router.collect(devices_, rings_);
+    router.collect(devices_, xfers_);
     const bool want_windows = options_.telemetry != nullptr;
     std::vector<std::uint64_t> backlog;
     if (steals(options_.balance) || want_windows) {
@@ -299,6 +298,7 @@ ClusterRun Cluster::run(const DeviceKernelFactory& make_factory,
         stall_detail;
   }
   result.router = router.stats();
+  result.xfer_rings = xfer_ring_ends();
   if (result.aborted) {
     result.black_box = assemble_black_box(result.abort_reason, &router);
   }

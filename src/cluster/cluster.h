@@ -6,15 +6,20 @@
 //   - Every device runs its own persistent-thread kernel against its
 //     own main queue (any QueueVariant), stepped via the incremental
 //     Device::launch_begin / step_until / launch_end API.
+//   - Each device's remote work leaves through its own transfer queue
+//     (cluster/transfer.h): one ring-core DeviceQueue split into one
+//     sub-ring per other device, published by the core's fetch-add
+//     enqueue and routed by the partition's owner table.
 //   - The shared loop advances all devices to a common horizon (the
-//     superstep quantum), then runs a barrier: the host router drains
-//     every inter-device transfer ring, optionally re-balances, and
-//     injects the tokens into the owning devices' main queues.
+//     superstep quantum), then runs a barrier: the host router pops
+//     every transfer sub-ring (DeviceQueue::host_pop), optionally
+//     re-balances, and injects the tokens into the owning devices' main
+//     queues (DeviceQueue::host_push).
 //   - Kernels load a host-writable stop flag instead of the queue's
 //     all_done predicate (the task engine's stop-word seam): only the
 //     host can see cluster-wide quiescence. The cluster is quiescent
-//     when every main queue has Completed == Rear, every transfer ring
-//     has Front == Rear, and the router holds nothing pending.
+//     when every main queue has Completed == Rear, every transfer
+//     sub-ring has Front == Rear, and the router holds nothing pending.
 //     Reservation-counting Rears make this sound: a task's remote
 //     children are reserved in a transfer ring before the task reports
 //     complete, so in-flight work always holds at least one of the
@@ -59,7 +64,7 @@ struct ClusterOptions {
   double steal_trigger = 2.0;
   QueueVariant variant = QueueVariant::kRfan;
   std::uint64_t queue_capacity = 0;  // per-device main ring slots (> 0)
-  std::uint64_t xfer_capacity = 0;   // per device-pair ring slots (> 0)
+  std::uint64_t xfer_capacity = 0;   // slots per ordered device pair (> 0)
   // Optional sinks (not owned). Per-device instruments are created
   // internally and merged into these when a run ends. Per-device flight
   // recorders always exist (abort-path black boxes need them) and stay
@@ -68,8 +73,21 @@ struct ClusterOptions {
   simt::TaskTrace* task_trace = nullptr;
 };
 
+// One transfer sub-ring's counters: tokens the host popped (Front) and
+// tokens the source reserved (Rear).
+struct XferRingEnds {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint64_t front = 0;
+  std::uint64_t rear = 0;
+};
+
 struct ClusterRun {
   std::vector<simt::RunResult> device_runs;  // per device, launch delta
+  // Every transfer sub-ring when the run ended, source-major. At
+  // quiescence each has Front == Rear, and the Rears sum to the tokens
+  // written (kXferTokens) and to router.drained.
+  std::vector<XferRingEnds> xfer_rings;
   RouterStats router;
   std::uint64_t supersteps = 0;
   simt::Cycle cycles = 0;  // cluster makespan: max device launch cycles
@@ -77,7 +95,7 @@ struct ClusterRun {
   std::string abort_reason;
   // Black-box JSON (core/black_box.h) snapshotted at the moment of
   // death: per-device queue control blocks, flight-recorder rings and
-  // wait tables, transfer-ring residency and router pending tokens.
+  // wait tables, transfer sub-ring residency and router pending tokens.
   // Empty for clean runs.
   std::string black_box;
 };
@@ -85,11 +103,14 @@ struct ClusterRun {
 class Cluster {
  public:
   // Builds num_devices identical devices from `config`, a main queue of
-  // `queue_capacity` slots per device, a transfer ring of
-  // `xfer_capacity` slots per ordered device pair, one stop-flag word
-  // per device, and (given a telemetry sink) per-device telemetry with
-  // scheduler probes registered.
-  Cluster(const simt::DeviceConfig& config, const ClusterOptions& options);
+  // `queue_capacity` slots per device, with more than one device a
+  // transfer queue per device of `xfer_capacity` slots per other
+  // device, one stop-flag word per device, and (given a telemetry sink)
+  // per-device telemetry with scheduler probes registered. `owner[v]`
+  // is the device that owns vertex v (graph::Partition::owner); the
+  // transfer queues route each token to its vertex's owner.
+  Cluster(const simt::DeviceConfig& config, const ClusterOptions& options,
+          std::vector<std::uint32_t> owner);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -99,9 +120,9 @@ class Cluster {
   }
   [[nodiscard]] simt::Device& device(std::uint32_t d) { return *devices_[d]; }
   [[nodiscard]] DeviceQueue& queue(std::uint32_t d) { return *queues_[d]; }
-  [[nodiscard]] const TransferRing& ring(std::uint32_t src,
-                                         std::uint32_t dst) const {
-    return rings_[src][dst];
+  // Device src's outgoing transfer queue (more than one device only).
+  [[nodiscard]] TransferQueue& xfer(std::uint32_t src) {
+    return *xfers_.at(src);
   }
   // The stop word kernels load each work cycle; the host writes 1 at
   // cluster quiescence (or teardown) to release the persistent waves.
@@ -109,7 +130,8 @@ class Cluster {
     return stop_flags_[d];
   }
   // Explicit black-box snapshot of the current cluster state (queues,
-  // recorders, rings; no router — that context lives inside run()).
+  // recorders, transfer sub-rings; no router — that context lives
+  // inside run()).
   // Callable at any time, including mid-run from host code.
   [[nodiscard]] std::string dump_now(const std::string& reason) const;
 
@@ -131,11 +153,14 @@ class Cluster {
   // to stall/guard abort reasons so the first line of a failure already
   // says where the work is stuck.
   [[nodiscard]] std::string occupancy_detail() const;
+  // Host reads of every transfer sub-ring's counters, source-major.
+  [[nodiscard]] std::vector<XferRingEnds> xfer_ring_ends() const;
 
   ClusterOptions options_;
+  std::vector<std::uint32_t> owner_;  // the transfer queues' route table
   std::vector<std::unique_ptr<simt::Device>> devices_;
   std::vector<std::unique_ptr<DeviceQueue>> queues_;
-  std::vector<std::vector<TransferRing>> rings_;  // rings_[src][dst]
+  std::vector<std::unique_ptr<TransferQueue>> xfers_;  // empty for 1 device
   std::vector<simt::Addr> stop_flags_;
   std::vector<std::unique_ptr<simt::Telemetry>> telemetry_;
   std::vector<std::unique_ptr<simt::TaskTrace>> task_traces_;

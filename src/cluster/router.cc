@@ -24,16 +24,16 @@ BalancePolicy balance_policy_from_string(std::string_view name) {
 }
 
 void Router::collect(std::span<const std::unique_ptr<simt::Device>> devices,
-                     const std::vector<std::vector<TransferRing>>& rings) {
-  const std::uint32_t n = static_cast<std::uint32_t>(pending_.size());
-  std::vector<std::uint64_t> batch;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint32_t d = 0; d < n; ++d) {
-      if (s == d) continue;
-      batch.clear();
-      rings[s][d].drain(*devices[s], batch);
-      stats_.drained += batch.size();
-      pending_[d].insert(pending_[d].end(), batch.begin(), batch.end());
+                     std::span<const std::unique_ptr<TransferQueue>> xfers) {
+  for (std::size_t s = 0; s < xfers.size(); ++s) {
+    TransferQueue& xfer = *xfers[s];
+    for (std::uint32_t k = 0; k < xfer.rings(); ++k) {
+      std::deque<std::uint64_t>& to = pending_[xfer.destination(k)];
+      while (const std::optional<std::uint64_t> token =
+                 xfer.host_pop(*devices[s], k)) {
+        to.push_back(*token);
+        ++stats_.drained;
+      }
     }
   }
 }

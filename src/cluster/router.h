@@ -1,9 +1,9 @@
 // Host-side router/balancer: the glue that runs at every cluster
 // superstep barrier.
 //
-//   collect   drains every transfer ring (source-major order, so the
-//             schedule is deterministic) into per-destination pending
-//             FIFOs.
+//   collect   pops every transfer sub-ring through DeviceQueue::host_pop
+//             (source-major, then destination order, so the schedule is
+//             deterministic) into per-destination pending FIFOs.
 //   balance   (kSteal only) splits candidates queued for overloaded
 //             owners: the enumeration half goes to an under-loaded
 //             thief as kStolen, the authority half stays with the owner
@@ -74,9 +74,10 @@ class Router {
         policy_(policy),
         steal_trigger_(steal_trigger) {}
 
-  // Drains rings[s][d] for every ordered pair s != d into pending_[d].
+  // Pops every sub-ring of xfers[s], device s's transfer queue, into
+  // pending_ of the sub-ring's destination.
   void collect(std::span<const std::unique_ptr<simt::Device>> devices,
-               const std::vector<std::vector<TransferRing>>& rings);
+               std::span<const std::unique_ptr<TransferQueue>> xfers);
 
   // backlog[d] = incomplete tokens on device d's main queue. Converts
   // pending candidates of overloaded destinations into kStolen (for the

@@ -1,27 +1,33 @@
-// Inter-device transfer queues: bounded single-producer rings through
+// Inter-device transfer rings on the ring core: the queue through
 // which one device's persistent-thread driver hands frontier work to
-// the host router for delivery to another device.
+// the host router for delivery to the other devices.
 //
-// The ring reuses the main queue's epoch-tagged slot-word format
-// (core/queue.h) and the RF/AN enqueue discipline: per wavefront, the
-// proxy thread aggregates the batch with LDS atomics and reserves all
-// tickets with one non-failing atomic fetch-add on Rear; the slot
-// writes go through the same park/flush backpressure path, so a full
-// ring throttles the producer instead of aborting the kernel. The
-// consumer is the *host* router (cluster superstep barriers), which
-// costs no simulated cycles: it pops arrived tokens in ticket order,
-// recycles each slot with the next epoch's empty sentinel, and
-// publishes its progress through Front.
+// One TransferQueue per source device splits its slot array into one
+// sub-ring of `per_pair` slots per *other* device (no self-ring, so
+// K = devices - 1 <= 63 sub-rings). A producing wave stages its remote
+// children in one WaveQueueState and publishes them with the core's
+// fetch-add enqueue (DeviceQueue::publish): the proxy aggregates the
+// batch in LDS, one non-failing atomic add per destination reserves its
+// share, and the writes land over epoch-tagged empty sentinels, parking
+// while the host has not recycled a slot. route() sends each token to
+// the sub-ring of its vertex's owner.
 //
-// Ctrl block: [0]=Front (host-consumed count) [1]=Rear (device-reserved
-// count). Rear counts *reservations*, so parked-but-unwritten tokens
-// keep the ring non-quiescent — the cluster's termination detector
-// relies on that, exactly as the main queue's does.
+// The consumer is the host router: at every superstep barrier it pops
+// each sub-ring through DeviceQueue::host_pop, which costs no simulated
+// cycles. Rears count reservations, so a parked-but-unwritten token
+// keeps its sub-ring's Front below Rear — the cluster's termination
+// detector relies on that, exactly as a main queue's does.
+//
+// Sub-ring k carries recorder unit 1 + its destination device, so a
+// black box names the device a parked transfer waits for. Transfer
+// steps reach only the flight recorder and the xfer.* telemetry, their
+// writes count as kXferTokens, and a transfer queue never trips the
+// publish-deadlock abort: its producers wait on the host, which drains
+// only between quanta.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "core/queue.h"
 
@@ -41,87 +47,38 @@ inline constexpr const char kClusterImbalance[] = "cluster.imbalance_pct";
 inline constexpr const char kSuperstepOccupancy[] = "superstep.occupancy";
 }  // namespace tel
 
-// Per-wave, per-destination enqueue registers (the enqueue half of
-// WaveQueueState; transfers have no dequeue side on the device).
-struct XferWaveState {
-  std::array<std::uint32_t, kWaveWidth> n_new{};
-  std::array<std::array<std::uint64_t, kMaxWorkBudget>, kWaveWidth> new_tokens{};
-
-  struct Parked {
-    std::uint64_t ticket = 0;
-    std::uint64_t token = 0;
-  };
-  static constexpr std::uint32_t kMaxParked = kWaveWidth * kMaxWorkBudget;
-  std::uint32_t n_parked = 0;
-  std::array<Parked, kMaxParked> parked{};
-
-  void push(unsigned lane, std::uint64_t token) {
-    if (token > kMaxToken) {
-      throw simt::SimError(
-          "transfer ring: token exceeds the 48-bit ring payload");
-    }
-    new_tokens[lane][n_new[lane]++] = token;
-  }
-  [[nodiscard]] std::uint32_t total_new() const {
-    std::uint32_t n = 0;
-    for (auto k : n_new) n += k;
-    return n;
-  }
-  [[nodiscard]] bool has_parked() const { return n_parked != 0; }
-};
-
-class TransferRing {
+class TransferQueue final : public DeviceQueue {
  public:
-  TransferRing() = default;
+  // Device `src`'s outgoing rings toward the other `devices - 1`
+  // devices (2..64), `per_pair` slots each (> 0). `owner[v]` is the
+  // device that owns vertex v; not copied, must outlive the queue.
+  TransferQueue(simt::Device& dev, std::uint32_t src, std::uint32_t devices,
+                std::uint64_t per_pair, std::span<const std::uint32_t> owner);
 
-  // Allocates ctrl + slots on the producing (source) device.
-  static TransferRing create(simt::Device& src, std::uint64_t capacity);
-
-  // Device side (source kernel, once per work cycle per destination):
-  // reserves tickets for the staged batch with one AFA and writes every
-  // outstanding token whose slot has recycled; the rest stay parked in
-  // `st` for later cycles. Token production must stop while anything
-  // is parked: the task engine freezes its work phase while a client's
-  // side channel reports parked tokens.
-  Kernel<void> publish(Wave& w, XferWaveState& st) const;
-
-  // Host side: pops every arrived token in ticket order into `out`,
-  // recycles the slots, and advances Front. Stops at the first
-  // not-yet-written slot (a parked reservation); the next drain picks
-  // it up after the producer's flush lands.
-  void drain(simt::Device& src, std::vector<std::uint64_t>& out) const;
-
-  // Front == Rear: nothing reserved remains undelivered.
-  [[nodiscard]] bool quiescent(const simt::Device& src) const;
-
-  // Rear - Front: reserved tokens the host has not consumed yet.
-  [[nodiscard]] std::uint64_t backlog(const simt::Device& src) const;
-
-  [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
-
-  // Control-block reads for black-box dumps (host side, zero cost).
-  [[nodiscard]] std::uint64_t front(const simt::Device& src) const {
-    return src.read_word(front_addr());
+  // The enqueue is RF/AN's fetch-add.
+  [[nodiscard]] QueueVariant variant() const override {
+    return QueueVariant::kRfan;
   }
-  [[nodiscard]] std::uint64_t rear(const simt::Device& src) const {
-    return src.read_word(rear_addr());
+  // The host is the only consumer.
+  Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
+
+  // Sub-ring k's destination device, and the sub-ring toward `dst`.
+  [[nodiscard]] std::uint32_t destination(std::uint32_t k) const {
+    return k + (k >= src_ ? 1 : 0);
+  }
+  [[nodiscard]] std::uint32_t ring_to(std::uint32_t dst) const {
+    return dst - (dst > src_ ? 1 : 0);
   }
 
-  // Flight-recorder unit tag: 0 is reserved for the main queue, so the
-  // cluster labels the ring to destination d as unit 1 + d. Events the
-  // producer records (kXferReserve/kXferWrite) carry this tag so the
-  // post-mortem analyzer can tell rings apart.
-  void set_tag(std::uint32_t tag) { tag_ = tag; }
-  [[nodiscard]] std::uint32_t tag() const { return tag_; }
+ protected:
+  // The sub-ring toward the owner of the token's vertex. SimError for a
+  // vertex outside the owner table or owned by the source itself.
+  [[nodiscard]] std::uint32_t route(std::uint64_t token,
+                                    std::uint32_t cu) const override;
 
  private:
-  [[nodiscard]] simt::Addr front_addr() const { return ctrl_.at(0); }
-  [[nodiscard]] simt::Addr rear_addr() const { return ctrl_.at(1); }
-
-  simt::Buffer ctrl_;   // [0]=Front  [1]=Rear
-  simt::Buffer slots_;  // capacity words, slot_empty_word(0)-initialized
-  std::uint64_t capacity_ = 0;
-  std::uint32_t tag_ = 0;
+  std::uint32_t src_;
+  std::span<const std::uint32_t> owner_;
 };
 
 }  // namespace scq::cluster

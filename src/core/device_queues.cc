@@ -46,7 +46,8 @@ DeviceQueue::DeviceQueue(simt::Device& dev, std::uint64_t capacity,
   if (capacity == 0) {
     throw simt::SimError("DeviceQueue: capacity must be positive");
   }
-  if (rings == 0 || rings + completion_words_ > kWaveWidth) {
+  // In 64 bits: a ring count near 2^32 must not wrap past the limit.
+  if (rings == 0 || std::uint64_t{rings} + completion_words_ > kWaveWidth) {
     throw simt::SimError(
         "DeviceQueue: need 1..63 sub-rings whose Rears and Completeds fit "
         "one vector load");
@@ -71,7 +72,7 @@ void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens)
     if (tokens[i] > kMaxToken) {
       throw simt::SimError("seed: token exceeds the 48-bit ring payload");
     }
-    ring[i] = route(tokens[i], 0);
+    ring[i] = route(tokens[i], static_cast<std::uint32_t>(i));
     if (++share[ring[i]] > per_ring_) {
       throw simt::SimError("seed: batch exceeds a ring's capacity");
     }
@@ -105,6 +106,22 @@ bool DeviceQueue::host_push(simt::Device& dev, std::uint64_t token) {
   dev.protocol().host_publish(*this, simt::HostOrigin::kRouter, rear, token,
                               dev.now());
   return true;
+}
+
+std::optional<std::uint64_t> DeviceQueue::host_pop(simt::Device& dev,
+                                                   std::uint32_t k) {
+  const std::uint64_t local = dev.read_word(front_of(k));
+  if (local == dev.read_word(rear_of(k))) return std::nullopt;
+  const SlotRef at = slot_of(encode_ticket(k, local));
+  const Addr slot = slot_addr(at.index);
+  const std::uint64_t word = dev.read_word(slot);
+  if (slot_is_empty(word) || slot_epoch_tag(word) != (at.epoch & kEpochTagMask)) {
+    return std::nullopt;  // reserved, still parked on the device
+  }
+  dev.write_word(slot, slot_empty_word(at.epoch + 1));
+  dev.write_word(front_of(k), local + 1);
+  --resident_;
+  return slot_payload(word);
 }
 
 std::uint64_t DeviceQueue::unfinished(const simt::Device& dev) const {
@@ -353,6 +370,7 @@ bool DeviceQueue::stall_note(Wave& w, WaveQueueState& st, bool wrote_any) {
                                 st.parked[i].token);
   }
   w.bump(kPublishStalls, st.n_parked);
+  if (transfers()) return false;  // waits on the host, see the header
 
   const std::uint64_t sig = progress_signature(w.device());
   if (wrote_any || sig != st.stall_signature) {
@@ -382,12 +400,14 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
   // the matching epoch's empty sentinel. Entries whose slot has not been
   // recycled yet (previous epoch's token unconsumed) stay parked. Rounds
   // repeat while they make progress, so a burst spanning several ring
-  // epochs drains as fast as consumers recycle.
+  // epochs drains as fast as consumers recycle. The lane words live in
+  // st.flush: each round writes lanes [0, n) before reading them, and
+  // lane 0 is always among them, so a vector load's jitter salt (lane
+  // 0's address) never reads a stale lane.
+  auto& [addrs, want, full, ticket, token, cur] = st.flush;
   for (;;) {
     const std::uint32_t n = std::min<std::uint32_t>(st.n_parked, kWaveWidth);
     LaneMask mask = 0;
-    std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> want{}, full{}, ticket{}, token{};
     for (std::uint32_t i = 0; i < n; ++i) {
       ticket[i] = st.parked[i].ticket;
       token[i] = st.parked[i].token;
@@ -397,7 +417,6 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
       want[i] = slot_empty_word(ref.epoch);
       full[i] = slot_full_word(ref.epoch, token[i]);
     }
-    std::array<std::uint64_t, kWaveWidth> cur{};
     co_await w.load_lanes(mask, addrs, cur);
 
     LaneMask writable = 0;
@@ -418,7 +437,8 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     events.write(w, *this, writable, waited, ticket, token);
     resident_ += static_cast<std::uint64_t>(std::popcount(writable));
     co_await w.store_lanes(writable, addrs, full);
-    w.bump(kTokensEnqueued, static_cast<std::uint64_t>(std::popcount(writable)));
+    w.bump(transfers() ? kXferTokens : kTokensEnqueued,
+           static_cast<std::uint64_t>(std::popcount(writable)));
     for_lanes(writable & waited, [&](unsigned i) {
       events.stall_end(w, *this, ticket[i], st.parked[i].since);
     });
@@ -478,11 +498,11 @@ Kernel<void> DeviceQueue::publish(Wave& w, WaveQueueState& st) {
       }
     }
     st.clear_produce();
-    events.publish_batch(w, total);
+    events.publish_batch(w, *this, total);
   }
 
   co_await flush_parked(w, st);
-  if (total > 0) events.publish_end(w, t0);
+  if (total > 0) events.publish_end(w, *this, t0);
 }
 
 // ---- RF/AN: retry-free, arbitrary-n (the proposed queue, §4) ----
@@ -586,11 +606,11 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
       }
     }
     st.clear_produce();
-    events.publish_batch(w, total);
+    events.publish_batch(w, *this, total);
   }
 
   co_await flush_parked(w, st);
-  if (total > 0) events.publish_end(w, t0);
+  if (total > 0) events.publish_end(w, *this, t0);
 }
 
 // ---- BASE: traditional lock-free queue, one CAS loop per thread ----
@@ -718,7 +738,7 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
   st.clear_produce();
 
   co_await flush_parked(w, st);
-  if (produced) events.publish_end(w, t0);
+  if (produced) events.publish_end(w, *this, t0);
 }
 
 Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {

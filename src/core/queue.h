@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -79,6 +80,8 @@ inline constexpr unsigned kTokenBits = 48;
 inline constexpr std::uint64_t kMaxToken = (std::uint64_t{1} << kTokenBits) - 1;
 inline constexpr std::uint64_t kEpochTagMask =
     (std::uint64_t{1} << (63 - kTokenBits)) - 1;
+static_assert(simt::kTicketRingShift == kTokenBits,
+              "the views read a ticket's sub-ring above the payload bits");
 
 [[nodiscard]] constexpr std::uint64_t slot_empty_word(std::uint64_t epoch) {
   return kSlotEmptyFlag | epoch;
@@ -177,6 +180,15 @@ struct WaveQueueState {
   std::uint64_t stall_signature = 0;
   std::uint32_t stall_rounds = 0;
 
+  // flush_parked's per-round lane words, kept here rather than in its
+  // coroutine frame so that frame fits the frame pool. Each round
+  // writes lanes [0, n) before it reads them.
+  struct FlushScratch {
+    std::array<Addr, kWaveWidth> addrs;
+    std::array<std::uint64_t, kWaveWidth> want, full, ticket, token, cur;
+  };
+  FlushScratch flush{};
+
   // Host-side reservation observer (the src/tasks engine's spawn-depth
   // and credit accounting): park() invokes it at the instant a Rear
   // reservation binds (ticket, token) — where a task's identity is born
@@ -261,8 +273,10 @@ enum class RingSplit : std::uint8_t {
   // holds [Fronts | Rears | Completeds], one Completed per band, and a
   // ticket's sub-ring is its band.
   kBands,
-  // Per-CU home rings (the distributed queue): a block after the slots
-  // holds [Fronts | Rears | Completed], one Completed shared by all.
+  // Independent sub-rings — the distributed queue's per-CU home rings,
+  // a cluster device's per-destination transfer rings: a block after
+  // the slots holds [Fronts | Rears | Completed], one Completed shared
+  // by all.
   kHomes,
 };
 
@@ -340,11 +354,13 @@ class DeviceQueue : public simt::TicketSpace {
   Kernel<bool> all_done(Wave& w);
 
   // Host-side seeding of initial task tokens (§3.1): resets the control
-  // block and every slot, then places each token at the next local
-  // ticket of the sub-ring route(token, 0) picks (the host seeds as CU
-  // 0). Throws SimError when a sub-ring's share exceeds its capacity or
-  // a token exceeds kMaxToken; the batch is checked before anything is
-  // written, so a rejected seed leaves the queue as it was.
+  // block and every slot, then places token i at the next local ticket
+  // of the sub-ring route(token, i) picks (seed i enters where a
+  // producer on CU i would put it, so a split queue spreads a batch
+  // over its home rings). Throws SimError when a sub-ring's share
+  // exceeds its capacity or a token exceeds kMaxToken; the batch is
+  // checked before anything is written, so a rejected seed leaves the
+  // queue as it was.
   virtual void seed(simt::Device& dev, std::span<const std::uint64_t> tokens);
 
   // Host-side push of one token mid-run (the cluster router's
@@ -354,6 +370,14 @@ class DeviceQueue : public simt::TicketSpace {
   // Returns false, writing nothing, when the slot has not recycled yet.
   // The cluster runs only the single-ring schedulers.
   bool host_push(simt::Device& dev, std::uint64_t token);
+
+  // Host-side pop from sub-ring k, the mirror of host_push (the cluster
+  // router's drain of a transfer ring): when the slot at k's Front holds
+  // the token of Front's epoch, recycles it with the next epoch's empty
+  // sentinel, advances Front and returns the token. Returns nothing at
+  // Front == Rear or while the ticket at Front is reserved but its
+  // producer has not written it yet.
+  std::optional<std::uint64_t> host_pop(simt::Device& dev, std::uint32_t k);
 
   // ---- Host-side reads of the control block (no simulated cycles) ----
 
@@ -460,10 +484,11 @@ class DeviceQueue : public simt::TicketSpace {
                       std::uint64_t count);
 
   // Residency accounting behind resident_tokens: bumped where slot-full
-  // words are stored (flush_parked, seeding) and debited where arrived
-  // slots recycle to the next epoch's sentinel (check_arrival). Updated
-  // when the store is issued, so it can lead the simulated memory
-  // effect by a few cycles — exact at every quiescent point.
+  // words are stored (flush_parked, seeding, host_push) and debited
+  // where slots recycle to the next epoch's sentinel (check_arrival,
+  // host_pop). Updated when the store is issued, so it can lead the
+  // simulated memory effect by a few cycles — exact at every quiescent
+  // point.
   std::uint64_t resident_ = 0;
 
   // Device progress signature for the deadlock detector: the sum of
@@ -493,10 +518,13 @@ class DeviceQueue : public simt::TicketSpace {
   // entries stalled and counts the retry. Returns true once the device
   // progress signature has been frozen for kPublishDeadlockRounds
   // consecutive stalled attempts — the caller must then
-  // `co_await w.abort_kernel(kPublishDeadlockMessage)`. A plain function
-  // rather than a child coroutine: it runs once per work cycle per wave
-  // and almost always takes the no-parked-tokens early-out, where a
-  // coroutine frame would be pure overhead.
+  // `co_await w.abort_kernel(kPublishDeadlockMessage)`. Never on a
+  // transfer queue: its consumer is the host, which drains only at
+  // superstep barriers, so its producers wait out whole quanta with
+  // nothing on the device moving. A plain function rather than a child
+  // coroutine: it runs once per work cycle per wave and almost always
+  // takes the no-parked-tokens early-out, where a coroutine frame would
+  // be pure overhead.
   [[nodiscard]] bool stall_note(Wave& w, WaveQueueState& st, bool wrote_any);
 
   static constexpr const char* kPublishDeadlockMessage =

@@ -59,11 +59,9 @@ void FlightRecorder::apply_wait_locked(const FlightEvent& e) {
       monitors_.erase(key);
       break;
     case FlightKind::kReserve:
-    case FlightKind::kXferReserve:
       parked_[key] = {e.actor, e.band, e.payload, e.cycle};
       break;
     case FlightKind::kWrite:
-    case FlightKind::kXferWrite:
       parked_.erase(key);
       break;
     default:

@@ -3,14 +3,15 @@
 //
 // A FlightRecorder keeps a bounded ring of the most recent scheduler /
 // queue events — ticket reservations, ring writes, dequeue claims,
-// deliveries, completions, band closures, transfer-ring traffic and
-// host-router injections — each tagged with the device cycle, the
-// acting wave slot, the ticket and its priority band. Unlike OpHistory
-// (append-only, unbounded, consumed by the fuzz checker) the recorder
-// is built for *failed* runs: it is cheap enough to leave attached on
-// every run, overwrites its oldest events instead of growing, and its
-// contents are snapshotted into the black-box dump (core/black_box.h)
-// on any abort path.
+// deliveries, completions, band closures and host-router injections —
+// each tagged with the device cycle, the acting wave slot, the ring
+// unit (0 for a device's own queue; a transfer sub-ring's unit names
+// its destination device), the ticket and its priority band. Unlike
+// OpHistory (append-only, unbounded, consumed by the fuzz checker) the
+// recorder is built for *failed* runs: it is cheap enough to leave
+// attached on every run, overwrites its oldest events instead of
+// growing, and its contents are snapshotted into the black-box dump
+// (core/black_box.h) on any abort path.
 //
 // Alongside the ring the recorder maintains a live wait-state table,
 // immune to ring wrap-around:
@@ -21,8 +22,7 @@
 //             kDeliver).
 //   parked    one entry per enqueue reservation currently *waiting*:
 //             the wave that reserved ticket t is parked until t's ring
-//             slot recycles (inserted on kReserve/kXferReserve, erased
-//             on kWrite/kXferWrite).
+//             slot recycles (inserted on kReserve, erased on kWrite).
 //
 // At the instant of a deadlock these two tables ARE the wait-for graph
 // material: the post-mortem analyzer (util/postmortem.h) joins parked
@@ -62,16 +62,14 @@
 namespace simt {
 
 enum class FlightKind : std::uint8_t {
-  kReserve,      // enqueue ticket reserved (token parked until its slot clears)
-  kWrite,        // payload written into the ring slot (reservation retired)
-  kClaim,        // dequeue ticket claimed (wave now monitors the slot)
-  kDeliver,      // payload observed by the consumer (monitor retired)
-  kComplete,     // tasks reported complete (payload = count)
-  kBandClose,    // priority band observed closed (ticket = final rear)
-  kXferReserve,  // transfer-ring ticket reserved (unit = ring tag)
-  kXferWrite,    // transfer-ring payload written (unit = ring tag)
-  kRouter,       // host router injected a token into the main queue
-  kNote,         // free-form marker (payload/ticket caller-defined)
+  kReserve,    // enqueue ticket reserved (token parked until its slot clears)
+  kWrite,      // payload written into the ring slot (reservation retired)
+  kClaim,      // dequeue ticket claimed (wave now monitors the slot)
+  kDeliver,    // payload observed by the consumer (monitor retired)
+  kComplete,   // tasks reported complete (payload = count)
+  kBandClose,  // priority band observed closed (ticket = final rear)
+  kRouter,     // host router injected a token into the main queue
+  kNote,       // free-form marker (payload/ticket caller-defined)
 };
 
 [[nodiscard]] constexpr const char* to_string(FlightKind k) {
@@ -82,8 +80,6 @@ enum class FlightKind : std::uint8_t {
     case FlightKind::kDeliver: return "deliver";
     case FlightKind::kComplete: return "complete";
     case FlightKind::kBandClose: return "band-close";
-    case FlightKind::kXferReserve: return "xfer-reserve";
-    case FlightKind::kXferWrite: return "xfer-write";
     case FlightKind::kRouter: return "router";
     case FlightKind::kNote: return "note";
   }
@@ -93,7 +89,7 @@ enum class FlightKind : std::uint8_t {
 struct FlightEvent {
   FlightKind kind = FlightKind::kNote;
   std::uint32_t actor = 0;    // wave slot id, or kHostActor
-  std::uint32_t unit = 0;     // 0 = main queue; >= 1 = transfer-ring tag
+  std::uint32_t unit = 0;     // 0 = main queue; 1 + dst = transfer sub-ring
   std::uint64_t ticket = 0;   // scheduler ticket (band-encoded for mq)
   std::uint64_t payload = 0;  // token value (count for kComplete; batch
                               // width for coalesced log_step events)

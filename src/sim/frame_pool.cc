@@ -23,6 +23,7 @@ struct Pool {
 };
 
 thread_local Pool tls_pool;
+thread_local std::uint64_t tls_above_ceiling = 0;
 
 constexpr std::size_t bucket_of(std::size_t bytes) {
   return (bytes + kGranularity - 1) / kGranularity;
@@ -32,6 +33,7 @@ constexpr std::size_t bucket_of(std::size_t bytes) {
 
 void* frame_allocate(std::size_t bytes) {
   const std::size_t b = bucket_of(bytes);
+  if (b > kBuckets) ++tls_above_ceiling;
   if (b == 0 || b > kBuckets) return ::operator new(bytes);
   void*& head = tls_pool.heads[b - 1];
   if (head != nullptr) {
@@ -41,6 +43,8 @@ void* frame_allocate(std::size_t bytes) {
   }
   return ::operator new(b * kGranularity);
 }
+
+std::uint64_t frames_above_ceiling() { return tls_above_ceiling; }
 
 void frame_deallocate(void* p, std::size_t bytes) noexcept {
   const std::size_t b = bucket_of(bytes);

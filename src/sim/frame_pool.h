@@ -12,10 +12,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace simt::detail {
 
 [[nodiscard]] void* frame_allocate(std::size_t bytes);
 void frame_deallocate(void* p, std::size_t bytes) noexcept;
+
+// Frames this thread has allocated above the 2 KiB ceiling.
+[[nodiscard]] std::uint64_t frames_above_ceiling();
 
 }  // namespace simt::detail

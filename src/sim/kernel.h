@@ -87,6 +87,14 @@ struct ReturnSlot<void> {
   return detail::tls_frames_created;
 }
 
+// Frames this thread has allocated above the frame pool's ceiling, each
+// served by the global allocator. Unlike frames_created() it depends on
+// the compiler's frame layout, so benches report it outside their
+// baselines.
+[[nodiscard]] inline std::uint64_t frames_above_pool() {
+  return detail::frames_above_ceiling();
+}
+
 // Kernel<T>: coroutine returning T; Kernel<> (void) for procedures.
 template <typename T = void>
 class [[nodiscard]] Kernel {

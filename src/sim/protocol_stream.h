@@ -3,12 +3,12 @@
 // Every token goes through the same steps: its enqueue ticket is
 // reserved, its payload written into the ticket's slot, its dequeue
 // ticket claimed, and its dna sentinel seen to clear. Completions, band
-// closes, transfer-ring traffic, host publishes and task executions sit
-// around them. Producers emit each step once and name no sink; the
-// stream turns it into records of whichever views are attached — the op
-// history (checker input), the flight recorder (always-on black box),
-// the task trace (critical-path input) and telemetry (distributions and
-// windowed series):
+// closes, host publishes and task executions sit around them. Producers
+// emit each step once and name no sink; the stream turns it into
+// records of whichever views are attached — the op history (checker
+// input), the flight recorder (always-on black box), the task trace
+// (critical-path input) and telemetry (distributions and windowed
+// series):
 //
 //   step          OpHistory          FlightRecorder            TaskTrace
 //   reserve       enq-reserve        reserve, coalesced        reserve
@@ -20,8 +20,6 @@
 //                                    it waited
 //   complete      -                  complete                  -
 //   band_close    band-close         band-close                -
-//   xfer_reserve  -                  xfer-reserve              -
-//   xfer_write    -                  xfer-write                -
 //   host_publish  enq-reserve and    write (seed) or router    reserve and
 //                 enq-write                                    payload-write
 //                                                              (seed only)
@@ -36,30 +34,34 @@
 //   stall_end      publish_stall; band_stall.b<i> windows on banded rings
 //   cas_run        cas_retry_run
 //   acquire_end    dequeue_latency; agg_width_dequeue unless per-lane
-//   publish_batch  agg_width_enqueue
-//   publish_end    enqueue_latency
-//   xfer_batch     xfer.agg_width
-//   xfer_end       xfer.enqueue_latency
+//   publish_batch  agg_width_enqueue (xfer.agg_width on a transfer queue)
+//   publish_end    enqueue_latency (xfer.enqueue_latency on a transfer
+//                  queue)
 //   lanes          lanes.hungry and lanes.assigned windows
 //
-// The last eight steps feed telemetry only. A reservation without a
-// ticket (kNoTask: the locked stack's pushes, whose LIFO indices are no
-// identity) reaches no ticket-keyed view. The recorder rides every run,
-// so a wave's batch of steps folds into one coalesced event
-// (FlightRecorder::log_steps); the full records that keep its wait
-// tables are written only at wait transitions. A lane-batch step
-// carries the whole batch so each view keeps its own order: history
-// and trace take a poll's deliveries in lane order, the recorder takes
-// first-miss claims, then the never-missed deliveries, then the waited
-// ones. Steps are emitted in the event-processing slice of their memory
-// effect, so every view's append order is protocol order. A detached
-// view costs one branch per step.
+// The last six steps feed telemetry only. Every recorder event carries
+// its ring's unit (TicketSpace::unit_of): 0 on a device's own queues.
+// A transfer queue's sub-rings, which the host drains toward other
+// devices, carry non-zero units; their reserve, stall and write steps
+// reach the recorder alone, and their stall_end reaches no view. A
+// reservation without a ticket (kNoTask: the locked stack's pushes,
+// whose LIFO indices are no identity) reaches no ticket-keyed view.
+// The recorder rides every run, so a wave's batch of steps folds into
+// one coalesced event (FlightRecorder::log_steps); the full records
+// that keep its wait tables are written only at wait transitions. A
+// lane-batch step carries the whole batch so each view keeps its own
+// order: history and trace take a poll's deliveries in lane order, the
+// recorder takes first-miss claims, then the never-missed deliveries,
+// then the waited ones. Steps are emitted in the event-processing slice
+// of their memory effect, so every view's append order is protocol
+// order. A detached view costs one branch per step.
 #pragma once
 
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sim/flight_recorder.h"
 #include "sim/op_history.h"
@@ -75,6 +77,10 @@ struct SlotRef {
   std::uint64_t epoch = 0;  // ring epoch (wrap count)
 };
 
+// A ticket's sub-ring index sits above this bit (the ring core's
+// encoding, core/queue.h: (k << 48) | local).
+inline constexpr unsigned kTicketRingShift = 48;
+
 // A ring's ticket numbering as the views read it.
 class TicketSpace {
  public:
@@ -89,6 +95,19 @@ class TicketSpace {
   [[nodiscard]] virtual std::uint64_t band_of(std::uint64_t /*ticket*/) const {
     return 0;
   }
+
+  // A transfer queue's sub-rings are drained by the host toward other
+  // devices; a device's own queues have no units.
+  [[nodiscard]] bool transfers() const { return !units_.empty(); }
+  // The recorder unit of a ticket's ring: 0 on a device's own queues,
+  // units_[k] (non-zero) on sub-ring k of a transfer queue. A plain
+  // table rather than a virtual call: every ring step reads it.
+  [[nodiscard]] std::uint32_t unit_of(std::uint64_t ticket) const {
+    return units_.empty() ? 0 : units_[ticket >> kTicketRingShift];
+  }
+
+ protected:
+  std::vector<std::uint32_t> units_;
 };
 
 // Who took a step, and when.
@@ -138,14 +157,15 @@ class ProtocolStream {
   void reserve(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
                std::uint64_t token, std::uint64_t parent = kNoTask) {
     if (ticket == kNoTask) return;
-    if (history_ != nullptr) {
+    const bool own = !ring.transfers();
+    if (history_ != nullptr && own) {
       to_history(QueueOp::kEnqueueReserve, a, ring, ticket, token);
     }
     if (recorder_ != nullptr) {
-      recorder_->log_steps(FlightKind::kReserve, a.id, 0, ticket,
-                           ring.band_of(ticket), a.cycle, 1);
+      recorder_->log_steps(FlightKind::kReserve, a.id, ring.unit_of(ticket),
+                           ticket, ring.band_of(ticket), a.cycle, 1);
     }
-    if (trace_ != nullptr) {
+    if (trace_ != nullptr && own) {
       to_trace(TaskPhase::kReserve, a, ticket, token, parent);
     }
   }
@@ -155,7 +175,7 @@ class ProtocolStream {
   void stall(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
              std::uint64_t token) {
     if (recorder_ != nullptr && ticket != kNoTask) {
-      to_recorder(FlightKind::kReserve, a, 0, ticket, token,
+      to_recorder(FlightKind::kReserve, a, ring.unit_of(ticket), ticket, token,
                   ring.band_of(ticket));
     }
   }
@@ -164,14 +184,14 @@ class ProtocolStream {
   // token[lane] for ticket[lane]; `waited` lanes had stalled first.
   void write(StepActor a, const TicketSpace& ring, LaneMask written,
              LaneMask waited, LaneWords ticket, LaneWords token) {
-    if (history_ != nullptr || trace_ != nullptr) {
+    if ((history_ != nullptr || trace_ != nullptr) && !ring.transfers()) {
       to_views(QueueOp::kEnqueueWrite, TaskPhase::kPayloadWrite, a, ring,
                written, ticket, token);
     }
     if (recorder_ == nullptr) return;
     for_lanes(written & waited, [&](unsigned i) {
-      to_recorder(FlightKind::kWrite, a, 0, ticket[i], token[i],
-                  ring.band_of(ticket[i]));
+      to_recorder(FlightKind::kWrite, a, ring.unit_of(ticket[i]), ticket[i],
+                  token[i], ring.band_of(ticket[i]));
     });
     coalesce(FlightKind::kWrite, a, ring, written & ~waited, ticket);
   }
@@ -255,20 +275,6 @@ class ProtocolStream {
     }
   }
 
-  // Transfer-ring steps; `unit` is the ring's recorder tag.
-  void xfer_reserve(StepActor a, std::uint32_t unit, std::uint64_t ticket,
-                    std::uint64_t token) {
-    if (recorder_ != nullptr) {
-      to_recorder(FlightKind::kXferReserve, a, unit, ticket, token, 0);
-    }
-  }
-  void xfer_write(StepActor a, std::uint32_t unit, std::uint64_t ticket,
-                  std::uint64_t token) {
-    if (recorder_ != nullptr) {
-      to_recorder(FlightKind::kXferWrite, a, unit, ticket, token, 0);
-    }
-  }
-
   // The host wrote `token` straight into `ticket`'s slot: reservation
   // and write in one step, at device cycle `cycle`.
   void host_publish(const TicketSpace& ring, HostOrigin origin,
@@ -280,7 +286,7 @@ class ProtocolStream {
   // parked since cycle `since`.
   void stall_end(StepActor a, const TicketSpace& ring, std::uint64_t ticket,
                  Cycle since) {
-    if (telemetry_ == nullptr) return;
+    if (telemetry_ == nullptr || ring.transfers()) return;
     telemetry_->record(StepMetric::kPublishStall, a.cycle - since);
     if (ring.num_bands() > 1) {
       telemetry_->record_band_stall(ring.band_of(ticket), a.cycle - since);
@@ -301,27 +307,21 @@ class ProtocolStream {
     telemetry_->record(StepMetric::kDequeueLatency, a.cycle - start);
   }
   // A wave's proxy reserved `width` enqueue tickets in one batch.
-  void publish_batch(StepActor /*a*/, std::uint64_t width) {
+  void publish_batch(StepActor /*a*/, const TicketSpace& ring,
+                     std::uint64_t width) {
     if (telemetry_ != nullptr) {
-      telemetry_->record(StepMetric::kAggWidthEnqueue, width);
+      telemetry_->record(ring.transfers() ? StepMetric::kXferAggWidth
+                                          : StepMetric::kAggWidthEnqueue,
+                         width);
     }
   }
   // A publish that began at `start` with new tokens returned, its
   // flush included.
-  void publish_end(StepActor a, Cycle start) {
+  void publish_end(StepActor a, const TicketSpace& ring, Cycle start) {
     if (telemetry_ != nullptr) {
-      telemetry_->record(StepMetric::kEnqueueLatency, a.cycle - start);
-    }
-  }
-  // The same two steps on a cluster transfer ring.
-  void xfer_batch(StepActor /*a*/, std::uint64_t width) {
-    if (telemetry_ != nullptr) {
-      telemetry_->record(StepMetric::kXferAggWidth, width);
-    }
-  }
-  void xfer_end(StepActor a, Cycle start) {
-    if (telemetry_ != nullptr) {
-      telemetry_->record(StepMetric::kXferEnqueueLatency, a.cycle - start);
+      telemetry_->record(ring.transfers() ? StepMetric::kXferEnqueueLatency
+                                          : StepMetric::kEnqueueLatency,
+                         a.cycle - start);
     }
   }
   // A wave's lanes at one work cycle: those asking for work and those
@@ -359,10 +359,18 @@ class ProtocolStream {
     recorder_->record({kind, a.id, unit, ticket, payload, band, a.cycle});
   }
   // One coalesced recorder event for a batch: the first lane's ticket
-  // and band, the batch width as payload.
+  // and band, the batch width as payload. A transfer queue's batch mixes
+  // units, so its lanes fold per run of one unit instead.
   void coalesce(FlightKind kind, const StepActor& a, const TicketSpace& ring,
                 LaneMask mask, LaneWords ticket) {
     if (mask == 0) return;
+    if (ring.transfers()) {
+      for_lanes(mask, [&](unsigned i) {
+        recorder_->log_steps(kind, a.id, ring.unit_of(ticket[i]), ticket[i],
+                             ring.band_of(ticket[i]), a.cycle, 1);
+      });
+      return;
+    }
     const std::uint64_t t0 = ticket[std::countr_zero(mask)];
     recorder_->log_steps(kind, a.id, 0, t0, ring.band_of(t0), a.cycle,
                          static_cast<std::uint32_t>(std::popcount(mask)));

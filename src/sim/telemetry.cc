@@ -79,7 +79,10 @@ const Histogram* Telemetry::find_histogram(std::string_view name) const {
 
 Histogram& Telemetry::step_histogram(StepMetric metric) {
   Histogram*& h = steps_[static_cast<std::size_t>(metric)].histogram;
-  if (h == nullptr) h = &histogram(kStepNames[static_cast<std::size_t>(metric)]);
+  if (h == nullptr) {
+    ++name_resolutions_;
+    h = &histogram(kStepNames[static_cast<std::size_t>(metric)]);
+  }
   return *h;
 }
 
@@ -91,6 +94,7 @@ void Telemetry::record(StepMetric metric, std::uint64_t value) {
   const auto i = static_cast<std::size_t>(metric);
   std::uint64_t*& window = steps_[i].window;
   if (window == nullptr) {
+    ++name_resolutions_;
     window = &windows_.accumulator(prefix_ + std::string(kStepNames[i]));
   }
   *window += value;
@@ -100,6 +104,7 @@ void Telemetry::record_band_stall(std::uint64_t band, std::uint64_t cycles) {
   if (band_stalls_.size() <= band) band_stalls_.resize(band + 1, nullptr);
   std::uint64_t*& window = band_stalls_[band];
   if (window == nullptr) {
+    ++name_resolutions_;
     window = &windows_.accumulator(prefix_ + std::string(kBandStallPrefix) +
                                    std::to_string(band));
   }

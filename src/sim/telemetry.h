@@ -183,6 +183,12 @@ class Telemetry {
   // Creates a step metric's histogram now, so that it reaches the
   // export even when the run never records a value.
   void declare(StepMetric metric) { (void)step_histogram(metric); }
+  // Times a step's metric name was looked up to bind its histogram or
+  // window slot; every later record through the slot skips the lookup.
+  // The schedule fixes the count exactly.
+  [[nodiscard]] std::uint64_t name_resolutions() const {
+    return name_resolutions_;
+  }
 
   // ---- Windowed series (sim/timeseries.h; prefix applies) ----
   // Sampled once at each window close.
@@ -267,6 +273,7 @@ class Telemetry {
     std::uint64_t assigned = 0;
   };
   std::vector<LaneCensus> lanes_;  // per wave slot
+  std::uint64_t name_resolutions_ = 0;
 
   Histogram& step_histogram(StepMetric metric);
   // Forgets every resolved slot; the next record resolves it again.

@@ -28,8 +28,8 @@ std::uint64_t field(const JsonValue& obj, const std::string& key) {
 
 bool known_kind(const std::string& k) {
   static const std::set<std::string> kinds = {
-      "reserve",      "write",      "claim",  "deliver", "complete",
-      "band-close",   "xfer-reserve", "xfer-write", "router", "note"};
+      "reserve",    "write",  "claim", "deliver", "complete",
+      "band-close", "router", "note"};
   return kinds.count(k) != 0;
 }
 

@@ -13,6 +13,7 @@
 #include "bfs/cluster_bfs.h"
 #include "bfs/pt_bfs.h"
 #include "cluster/transfer.h"
+#include "core/counters.h"
 #include "graph/generators.h"
 #include "graph/sssp_ref.h"
 #include "sim/task_trace.h"
@@ -330,12 +331,18 @@ TEST(ClusterTest, TaskTraceTicketsAreNamespacedPerDevice) {
 
 // ---- Ring residency under router injection ----
 
-// Lane 0 sends `count` tokens into `ring`, then the wave exits.
-simt::Kernel<void> send_tokens(simt::Wave& w, const cluster::TransferRing& ring,
+// Lane 0 sends `count` tokens, vertices 100 and up, through `xfer`,
+// then the wave exits.
+simt::Kernel<void> send_tokens(simt::Wave& w, DeviceQueue& xfer,
                                std::uint64_t count) {
-  cluster::XferWaveState st{};
-  for (std::uint64_t t = 0; t < count; ++t) st.push(0, 100 + t);
-  co_await ring.publish(w, st);
+  WaveQueueState st{};
+  for (std::uint64_t t = 0; t < count; ++t) st.push_token(0, 100 + t);
+  co_await xfer.publish(w, st);
+}
+
+// Every vertex owned by device 1 (the tests' transfer destination).
+std::vector<std::uint32_t> owned_by_dev1() {
+  return std::vector<std::uint32_t>(128, 1);
 }
 
 TEST(ClusterTest, ResidentTokensMatchRingMemory) {
@@ -375,13 +382,13 @@ TEST(ClusterTest, ResidentTokensMatchRingMemory) {
   copt.num_devices = 2;
   copt.queue_capacity = 64;
   copt.xfer_capacity = 16;
-  cluster::Cluster cl(small_device(), copt);
+  cluster::Cluster cl(small_device(), copt, owned_by_dev1());
   const std::uint64_t seed[] = {7};
   cl.queue(0).seed(cl.device(0), seed);
   const cluster::ClusterRun run = cl.run(
       [&cl](std::uint32_t d) -> simt::KernelFactory {
         if (d == 0) {
-          return [&cl](simt::Wave& w) { return send_tokens(w, cl.ring(0, 1), 3); };
+          return [&cl](simt::Wave& w) { return send_tokens(w, cl.xfer(0), 3); };
         }
         return [](simt::Wave&) -> simt::Kernel<void> { co_return; };
       },
@@ -413,11 +420,11 @@ TEST(ClusterTest, NoQuiescenceVerdictBeforeKernelsStart) {
   copt.queue_capacity = 64;
   copt.xfer_capacity = 16;
   const simt::DeviceConfig config = simt::spectre_config();
-  cluster::Cluster cl(config, copt);
+  cluster::Cluster cl(config, copt, owned_by_dev1());
   const cluster::ClusterRun run = cl.run(
       [&cl](std::uint32_t d) -> simt::KernelFactory {
         if (d == 0) {
-          return [&cl](simt::Wave& w) { return send_tokens(w, cl.ring(0, 1), 3); };
+          return [&cl](simt::Wave& w) { return send_tokens(w, cl.xfer(0), 3); };
         }
         return [](simt::Wave&) -> simt::Kernel<void> { co_return; };
       },
@@ -428,6 +435,39 @@ TEST(ClusterTest, NoQuiescenceVerdictBeforeKernelsStart) {
   ASSERT_TRUE(run.aborted);
   EXPECT_NE(run.abort_reason.find("cluster stalled"), std::string::npos)
       << run.abort_reason;
+}
+
+// ---- Transfer queues wait on the host, not on a deadlock ----
+
+TEST(ClusterTest, ParkedTransfersNeverTripThePublishDeadlockAbort) {
+  // A star with twelve remote leaves, one wave per device and 4-slot
+  // transfer rings: the hub's second batch of remote children parks,
+  // its wave freezes its work phase, and nothing on device 0 moves
+  // until the next barrier drains the ring. A quantum that spans more
+  // stalled flush rounds than kPublishDeadlockRounds would trip a
+  // publish-deadlock detector on the transfer queue; the run must
+  // instead finish, correct, in one attempt.
+  std::vector<graph::Edge> edges;
+  for (graph::Vertex v = 1; v <= 24; ++v) edges.emplace_back(0, v);
+  const graph::Graph g = graph::Graph::from_edges(25, edges);
+  simt::DeviceConfig cfg = small_device();
+  cfg.num_cus = 1;
+  cfg.waves_per_cu = 1;
+  ClusterBfsOptions opt;
+  opt.num_devices = 2;
+  opt.xfer_capacity = 4;
+  opt.quantum = simt::Cycle{1} << 24;
+  const ClusterBfsResult r = run_cluster_bfs(cfg, g, 0, opt);
+  ASSERT_FALSE(r.run.aborted) << r.run.abort_reason;
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_TRUE(r.black_box.empty());
+  EXPECT_TRUE(matches_reference(r.levels, graph::bfs_levels(g, 0)));
+  // Every stalled round leaves at most four reservations parked, so
+  // this many stalls mean more than kPublishDeadlockRounds stalled
+  // rounds on average between two drains.
+  const std::uint64_t stalls = r.run.device_runs[0].stats.user[kPublishStalls];
+  EXPECT_GT(stalls, 4 * kPublishDeadlockRounds * r.run.supersteps)
+      << r.run.supersteps << " supersteps";
 }
 
 // ---- Option validation ----
@@ -464,7 +504,7 @@ TEST(ClusterTest, AllDrainedBeforeQuiescenceReportsStall) {
   opt.num_devices = 2;
   opt.queue_capacity = 64;
   opt.xfer_capacity = 16;
-  cluster::Cluster cl(small_device(), opt);
+  cluster::Cluster cl(small_device(), opt, {});
   const std::uint64_t tokens[] = {0};
   cl.queue(0).seed(cl.device(0), tokens);
 

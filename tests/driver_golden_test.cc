@@ -24,6 +24,7 @@
 #include "bfs/pt_bfs.h"
 #include "bfs/pt_sssp.h"
 #include "bfs/pt_sssp_delta.h"
+#include "core/counters.h"
 #include "graph/generators.h"
 #include "graph/sssp_ref.h"
 #include "tasks/workloads/workloads.h"
@@ -257,25 +258,66 @@ Fingerprint run_coloring_deps_mq() {
 // BFS on the road graph, SSSP on the grid. At default ring sizes no
 // configuration parks on a device's main ring while its transfer rings
 // are clear; a 4-slot transfer ring (`xfer_capacity`) parks there.
-Fingerprint run_cluster(bool sssp, QueueVariant variant, std::uint32_t devices,
-                        cluster::BalancePolicy balance,
-                        std::uint64_t xfer_capacity = 0) {
+struct ClusterConfig {
+  std::string name;
+  bool sssp = false;
+  QueueVariant variant = QueueVariant::kRfan;
+  std::uint32_t devices = 1;
+  cluster::BalancePolicy balance = cluster::BalancePolicy::kOwnerOnly;
+  std::uint64_t xfer_capacity = 0;
+};
+
+void PrintTo(const ClusterConfig& c, std::ostream* os) { *os << c.name; }
+
+// The run, and a hash of its output in `hash`.
+bfs::ClusterRunResult run_cluster(const ClusterConfig& c, std::uint64_t& hash) {
   bfs::ClusterBfsOptions opt;
-  opt.num_devices = devices;
-  opt.variant = variant;
-  opt.balance = balance;
-  opt.xfer_capacity = xfer_capacity;
+  opt.num_devices = c.devices;
+  opt.variant = c.variant;
+  opt.balance = c.balance;
+  opt.xfer_capacity = c.xfer_capacity;
   Hasher h;
-  if (sssp) {
-    const bfs::ClusterSsspResult r =
+  if (c.sssp) {
+    bfs::ClusterSsspResult r =
         bfs::run_cluster_sssp(golden_device(), grid_graph(), 0, opt);
     h.add_all(r.dist);
-    return fingerprint(r.run, r.attempts, h.value());
+    hash = h.value();
+    return r;
   }
-  const bfs::ClusterBfsResult r =
+  bfs::ClusterBfsResult r =
       bfs::run_cluster_bfs(golden_device(), road_graph(), 0, opt);
   h.add_all(r.levels);
-  return fingerprint(r.run, r.attempts, h.value());
+  hash = h.value();
+  return r;
+}
+
+std::vector<ClusterConfig> cluster_configs() {
+  std::vector<ClusterConfig> out;
+  const std::pair<QueueVariant, const char*> variants[] = {
+      {QueueVariant::kBase, "Base"},
+      {QueueVariant::kAn, "An"},
+      {QueueVariant::kRfan, "Rfan"}};
+  for (const bool sssp : {false, true}) {
+    for (const auto& [variant, name] : variants) {
+      for (const std::uint32_t devices : {1u, 2u, 4u}) {
+        for (const bool steal : {false, true}) {
+          out.push_back({std::string("Cluster") + (sssp ? "Sssp" : "Bfs") +
+                             name + std::to_string(devices) + "Dev" +
+                             (steal ? "Steal" : "OwnerOnly"),
+                         sssp, variant, devices,
+                         steal ? cluster::BalancePolicy::kSteal
+                               : cluster::BalancePolicy::kOwnerOnly});
+        }
+      }
+    }
+  }
+  // Transfer rings far below the cut traffic: the work phase freezes
+  // while a transfer ring holds parked tokens.
+  out.push_back({"ClusterBfsBase4DevStealXfer4", false, QueueVariant::kBase, 4,
+                 cluster::BalancePolicy::kSteal, 4});
+  out.push_back({"ClusterSsspRfan4DevStealXfer4", true, QueueVariant::kRfan, 4,
+                 cluster::BalancePolicy::kSteal, 4});
+  return out;
 }
 
 struct GoldenCase {
@@ -317,34 +359,13 @@ std::vector<GoldenCase> golden_cases() {
   out.push_back({"Delta8BandsRing64", [] { return run_delta(8, false, 64); }});
   out.push_back({"CcRfan", run_cc_rfan});
   out.push_back({"ColoringDepsMq", run_coloring_deps_mq});
-  for (const bool sssp : {false, true}) {
-    for (const auto& [v, name] : variants) {
-      for (const std::uint32_t devices : {1u, 2u, 4u}) {
-        for (const bool steal : {false, true}) {
-          const QueueVariant variant = v;
-          const cluster::BalancePolicy balance =
-              steal ? cluster::BalancePolicy::kSteal
-                    : cluster::BalancePolicy::kOwnerOnly;
-          out.push_back({std::string("Cluster") + (sssp ? "Sssp" : "Bfs") +
-                             name + std::to_string(devices) + "Dev" +
-                             (steal ? "Steal" : "OwnerOnly"),
-                         [=] {
-                           return run_cluster(sssp, variant, devices, balance);
-                         }});
-        }
-      }
-    }
+  for (const ClusterConfig& c : cluster_configs()) {
+    out.push_back({c.name, [c] {
+                     std::uint64_t hash = 0;
+                     const bfs::ClusterRunResult r = run_cluster(c, hash);
+                     return fingerprint(r.run, r.attempts, hash);
+                   }});
   }
-  // Transfer rings far below the cut traffic: the work phase freezes
-  // while a transfer ring holds parked tokens.
-  out.push_back({"ClusterBfsBase4DevStealXfer4", [] {
-                   return run_cluster(false, QueueVariant::kBase, 4,
-                                      cluster::BalancePolicy::kSteal, 4);
-                 }});
-  out.push_back({"ClusterSsspRfan4DevStealXfer4", [] {
-                   return run_cluster(true, QueueVariant::kRfan, 4,
-                                      cluster::BalancePolicy::kSteal, 4);
-                 }});
   return out;
 }
 
@@ -515,762 +536,762 @@ const std::map<std::string, std::vector<std::uint64_t>>& pins() {
         0ull, 0ull, 0ull, 4ull,
         0ull, 0ull, 10032938504419765379ull}},
       {"ClusterBfsBase1DevOwnerOnly",
-       {626081ull, 1ull, 305ull, 0ull,
-        0ull, 0ull, 0ull, 5005ull,
-        616ull, 10785ull, 4520ull, 45616ull,
-        7814ull, 0ull, 0ull, 0ull,
-        208320ull, 8ull, 0ull, 1195ull,
-        309ull, 72354ull, 1210ull, 3310ull,
-        1209ull, 186ull, 0ull, 46826ull,
-        7814ull, 0ull, 0ull, 0ull,
+       {610013ull, 1ull, 297ull, 0ull,
+        0ull, 0ull, 0ull, 4864ull,
+        596ull, 9885ull, 4045ull, 44365ull,
+        6666ull, 0ull, 0ull, 0ull,
+        205920ull, 8ull, 0ull, 1172ull,
+        203ull, 71333ull, 1087ull, 2958ull,
+        1086ull, 63ull, 0ull, 45452ull,
+        6666ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsBase1DevSteal",
-       {626081ull, 1ull, 305ull, 0ull,
-        0ull, 0ull, 0ull, 5005ull,
-        616ull, 10785ull, 4520ull, 45616ull,
-        7814ull, 0ull, 0ull, 0ull,
-        208320ull, 8ull, 0ull, 1195ull,
-        309ull, 72354ull, 1210ull, 3310ull,
-        1209ull, 186ull, 0ull, 46826ull,
-        7814ull, 0ull, 0ull, 0ull,
+       {610013ull, 1ull, 297ull, 0ull,
+        0ull, 0ull, 0ull, 4864ull,
+        596ull, 9885ull, 4045ull, 44365ull,
+        6666ull, 0ull, 0ull, 0ull,
+        205920ull, 8ull, 0ull, 1172ull,
+        203ull, 71333ull, 1087ull, 2958ull,
+        1086ull, 63ull, 0ull, 45452ull,
+        6666ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsBase2DevOwnerOnly",
-       {722609ull, 1ull, 352ull, 39ull,
-        39ull, 0ull, 0ull, 6789ull,
-        355ull, 9854ull, 2006ull, 28599ull,
-        2820ull, 0ull, 34ull, 0ull,
-        533760ull, 8ull, 0ull, 2414ull,
-        81ull, 152621ull, 544ull, 1443ull,
-        522ull, 11ull, 0ull, 29159ull,
-        2820ull, 0ull, 18ull, 0ull,
-        0ull, 0ull, 0ull, 6802ull,
-        351ull, 10175ull, 2115ull, 24979ull,
-        3299ull, 0ull, 40ull, 0ull,
-        540720ull, 8ull, 0ull, 2436ull,
-        149ull, 153765ull, 573ull, 1526ull,
-        555ull, 48ull, 0ull, 25571ull,
-        3299ull, 0ull, 21ull, 0ull,
+       {712335ull, 1ull, 347ull, 45ull,
+        45ull, 0ull, 0ull, 6693ull,
+        388ull, 9839ull, 2099ull, 29552ull,
+        2908ull, 0ull, 39ull, 0ull,
+        497760ull, 8ull, 0ull, 2279ull,
+        87ull, 143953ull, 570ull, 1508ull,
+        545ull, 34ull, 0ull, 30140ull,
+        2908ull, 0ull, 21ull, 0ull,
+        0ull, 0ull, 0ull, 6631ull,
+        355ull, 10534ull, 2376ull, 24612ull,
+        4021ull, 0ull, 44ull, 0ull,
+        516480ull, 8ull, 0ull, 2335ull,
+        121ull, 147049ull, 646ull, 1713ull,
+        625ull, 117ull, 0ull, 25278ull,
+        4021ull, 0ull, 24ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsBase2DevSteal",
-       {722609ull, 1ull, 352ull, 39ull,
-        39ull, 0ull, 0ull, 6789ull,
-        355ull, 9854ull, 2006ull, 28599ull,
-        2820ull, 0ull, 34ull, 0ull,
-        533760ull, 8ull, 0ull, 2414ull,
-        81ull, 152621ull, 544ull, 1443ull,
-        522ull, 11ull, 0ull, 29159ull,
-        2820ull, 0ull, 18ull, 0ull,
-        0ull, 0ull, 0ull, 6802ull,
-        351ull, 10175ull, 2115ull, 24979ull,
-        3299ull, 0ull, 40ull, 0ull,
-        540720ull, 8ull, 0ull, 2436ull,
-        149ull, 153765ull, 573ull, 1526ull,
-        555ull, 48ull, 0ull, 25571ull,
-        3299ull, 0ull, 21ull, 0ull,
+       {712335ull, 1ull, 347ull, 45ull,
+        45ull, 0ull, 0ull, 6693ull,
+        388ull, 9839ull, 2099ull, 29552ull,
+        2908ull, 0ull, 39ull, 0ull,
+        497760ull, 8ull, 0ull, 2279ull,
+        87ull, 143953ull, 570ull, 1508ull,
+        545ull, 34ull, 0ull, 30140ull,
+        2908ull, 0ull, 21ull, 0ull,
+        0ull, 0ull, 0ull, 6631ull,
+        355ull, 10534ull, 2376ull, 24612ull,
+        4021ull, 0ull, 44ull, 0ull,
+        516480ull, 8ull, 0ull, 2335ull,
+        121ull, 147049ull, 646ull, 1713ull,
+        625ull, 117ull, 0ull, 25278ull,
+        4021ull, 0ull, 24ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsBase4DevOwnerOnly",
-       {702192ull, 1ull, 342ull, 77ull,
-        77ull, 0ull, 0ull, 6730ull,
-        185ull, 8196ull, 964ull, 17526ull,
-        1642ull, 0ull, 22ull, 0ull,
-        661440ull, 8ull, 0ull, 2861ull,
-        45ull, 181884ull, 268ull, 685ull,
-        256ull, 2ull, 0ull, 17805ull,
-        1642ull, 0ull, 11ull, 0ull,
-        0ull, 0ull, 0ull, 6755ull,
-        221ull, 8197ull, 1030ull, 15497ull,
-        1059ull, 0ull, 49ull, 0ull,
-        646560ull, 8ull, 0ull, 2810ull,
-        28ull, 178708ull, 281ull, 727ull,
-        254ull, 1ull, 0ull, 15800ull,
-        1059ull, 0ull, 27ull, 0ull,
-        0ull, 0ull, 0ull, 6760ull,
-        215ull, 8292ull, 1100ull, 14897ull,
-        1496ull, 0ull, 52ull, 0ull,
-        653760ull, 8ull, 0ull, 2837ull,
-        33ull, 180297ull, 298ull, 778ull,
-        271ull, 25ull, 0ull, 15220ull,
-        1496ull, 0ull, 28ull, 0ull,
-        0ull, 0ull, 0ull, 6740ull,
-        202ull, 8178ull, 993ull, 15083ull,
-        1230ull, 0ull, 19ull, 0ull,
-        649440ull, 8ull, 0ull, 2817ull,
-        28ull, 179136ull, 274ull, 709ull,
-        262ull, 11ull, 0ull, 15366ull,
-        1230ull, 0ull, 11ull, 0ull,
+       {708347ull, 1ull, 345ull, 81ull,
+        81ull, 0ull, 0ull, 6809ull,
+        190ull, 8273ull, 970ull, 17848ull,
+        1703ull, 0ull, 24ull, 0ull,
+        671040ull, 8ull, 0ull, 2901ull,
+        50ull, 184484ull, 270ull, 688ull,
+        257ull, 3ull, 0ull, 18130ull,
+        1703ull, 0ull, 12ull, 0ull,
+        0ull, 0ull, 0ull, 6840ull,
+        248ull, 8196ull, 1040ull, 17236ull,
+        833ull, 0ull, 55ull, 0ull,
+        636960ull, 8ull, 0ull, 2786ull,
+        33ull, 177227ull, 282ull, 731ull,
+        252ull, 1ull, 0ull, 17544ull,
+        833ull, 0ull, 29ull, 0ull,
+        0ull, 0ull, 0ull, 6815ull,
+        229ull, 8329ull, 1074ull, 15724ull,
+        1288ull, 0ull, 52ull, 0ull,
+        649440ull, 8ull, 0ull, 2827ull,
+        37ull, 179711ull, 294ull, 757ull,
+        266ull, 17ull, 0ull, 16042ull,
+        1288ull, 0ull, 29ull, 0ull,
+        0ull, 0ull, 0ull, 6807ull,
+        216ull, 8451ull, 1114ull, 16347ull,
+        1322ull, 0ull, 19ull, 0ull,
+        648720ull, 8ull, 0ull, 2819ull,
+        42ull, 179145ull, 306ull, 799ull,
+        295ull, 45ull, 0ull, 16662ull,
+        1322ull, 0ull, 11ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsBase4DevSteal",
-       {808708ull, 1ull, 394ull, 1779ull,
-        2391ull, 612ull, 0ull, 7705ull,
-        348ull, 10648ull, 1727ull, 42285ull,
-        3865ull, 0ull, 351ull, 0ull,
-        672480ull, 8ull, 0ull, 2995ull,
-        39ull, 189081ull, 726ull, 1324ull,
-        256ull, 2ull, 0ull, 43102ull,
-        3865ull, 0ull, 646ull, 0ull,
-        0ull, 0ull, 0ull, 7712ull,
-        393ull, 9901ull, 2416ull, 41209ull,
-        5214ull, 0ull, 247ull, 0ull,
-        649680ull, 8ull, 0ull, 2918ull,
-        37ull, 183354ull, 989ull, 1068ull,
-        258ull, 6ull, 0ull, 42289ull,
-        5214ull, 0ull, 350ull, 0ull,
-        0ull, 0ull, 0ull, 7777ull,
-        344ull, 10046ull, 1694ull, 37019ull,
-        2934ull, 0ull, 238ull, 0ull,
-        685680ull, 8ull, 0ull, 3042ull,
-        44ull, 192573ull, 628ull, 1118ull,
-        271ull, 22ull, 0ull, 37731ull,
-        2934ull, 0ull, 372ull, 0ull,
-        0ull, 0ull, 0ull, 7555ull,
-        331ull, 10040ull, 2504ull, 44739ull,
-        6129ull, 0ull, 238ull, 0ull,
-        683280ull, 8ull, 0ull, 3042ull,
-        31ull, 190609ull, 1081ull, 1071ull,
-        247ull, 5ull, 0ull, 45890ull,
-        6129ull, 0ull, 411ull, 0ull,
+       {796436ull, 1ull, 388ull, 1740ull,
+        2334ull, 594ull, 0ull, 7595ull,
+        323ull, 10414ull, 1934ull, 38207ull,
+        4660ull, 0ull, 280ull, 0ull,
+        669600ull, 8ull, 0ull, 2978ull,
+        48ull, 187746ull, 819ull, 1275ull,
+        262ull, 7ull, 0ull, 39100ull,
+        4660ull, 0ull, 587ull, 0ull,
+        0ull, 0ull, 0ull, 7556ull,
+        309ull, 9722ull, 2254ull, 36881ull,
+        5291ull, 0ull, 188ull, 0ull,
+        682560ull, 8ull, 0ull, 3017ull,
+        30ull, 189793ull, 917ull, 1020ull,
+        257ull, 6ull, 0ull, 37863ull,
+        5291ull, 0ull, 307ull, 0ull,
+        0ull, 0ull, 0ull, 7644ull,
+        316ull, 10149ull, 1470ull, 34302ull,
+        2353ull, 0ull, 240ull, 0ull,
+        691440ull, 8ull, 0ull, 3058ull,
+        59ull, 193798ull, 538ull, 1158ull,
+        263ull, 16ull, 0ull, 34912ull,
+        2353ull, 0ull, 429ull, 0ull,
+        0ull, 0ull, 0ull, 7502ull,
+        309ull, 10090ull, 2564ull, 40677ull,
+        6510ull, 0ull, 210ull, 0ull,
+        682560ull, 8ull, 0ull, 3028ull,
+        36ull, 189844ull, 1104ull, 1112ull,
+        261ull, 24ull, 0ull, 41849ull,
+        6510ull, 0ull, 417ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsAn1DevOwnerOnly",
-       {575114ull, 1ull, 280ull, 0ull,
-        0ull, 0ull, 0ull, 4248ull,
-        221ull, 9246ull, 2964ull, 478ull,
-        0ull, 0ull, 105513ull, 0ull,
-        886461ull, 8ull, 0ull, 1600ull,
-        53ull, 94982ull, 1045ull, 2849ull,
-        1044ull, 21ull, 0ull, 3500ull,
-        2907ull, 0ull, 0ull, 0ull,
+       {575162ull, 1ull, 280ull, 0ull,
+        0ull, 0ull, 0ull, 4190ull,
+        208ull, 9275ull, 2921ull, 485ull,
+        0ull, 0ull, 105605ull, 0ull,
+        921744ull, 8ull, 0ull, 1602ull,
+        58ull, 95624ull, 1032ull, 2813ull,
+        1031ull, 8ull, 0ull, 3681ull,
+        3088ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsAn1DevSteal",
-       {575114ull, 1ull, 280ull, 0ull,
-        0ull, 0ull, 0ull, 4248ull,
-        221ull, 9246ull, 2964ull, 478ull,
-        0ull, 0ull, 105513ull, 0ull,
-        886461ull, 8ull, 0ull, 1600ull,
-        53ull, 94982ull, 1045ull, 2849ull,
-        1044ull, 21ull, 0ull, 3500ull,
-        2907ull, 0ull, 0ull, 0ull,
+       {575162ull, 1ull, 280ull, 0ull,
+        0ull, 0ull, 0ull, 4190ull,
+        208ull, 9275ull, 2921ull, 485ull,
+        0ull, 0ull, 105605ull, 0ull,
+        921744ull, 8ull, 0ull, 1602ull,
+        58ull, 95624ull, 1032ull, 2813ull,
+        1031ull, 8ull, 0ull, 3681ull,
+        3088ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsAn2DevOwnerOnly",
-       {708429ull, 1ull, 345ull, 36ull,
-        36ull, 0ull, 0ull, 6295ull,
-        116ull, 9686ull, 1486ull, 250ull,
-        0ull, 0ull, 183877ull, 0ull,
-        875859ull, 8ull, 0ull, 2821ull,
-        52ull, 176459ull, 534ull, 1415ull,
-        514ull, 3ull, 0ull, 1492ull,
-        1173ull, 0ull, 17ull, 0ull,
-        0ull, 0ull, 0ull, 6273ull,
-        177ull, 9658ull, 1596ull, 338ull,
-        0ull, 0ull, 169994ull, 0ull,
-        860052ull, 8ull, 0ull, 2606ull,
-        49ull, 160926ull, 560ull, 1500ull,
-        543ull, 39ull, 0ull, 1840ull,
-        1404ull, 0ull, 19ull, 0ull,
+       {712018ull, 1ull, 347ull, 32ull,
+        32ull, 0ull, 0ull, 6315ull,
+        119ull, 9775ull, 1489ull, 279ull,
+        0ull, 0ull, 184242ull, 0ull,
+        885603ull, 8ull, 0ull, 2827ull,
+        77ull, 176626ull, 532ull, 1417ull,
+        515ull, 4ull, 0ull, 1572ull,
+        1221ull, 0ull, 16ull, 0ull,
+        0ull, 0ull, 0ull, 6456ull,
+        215ull, 9857ull, 1620ull, 357ull,
+        0ull, 0ull, 168425ull, 0ull,
+        777459ull, 8ull, 0ull, 2581ull,
+        37ull, 158425ull, 563ull, 1501ull,
+        547ull, 43ull, 0ull, 1489ull,
+        1013ull, 0ull, 16ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsAn2DevSteal",
-       {708429ull, 1ull, 345ull, 36ull,
-        36ull, 0ull, 0ull, 6295ull,
-        116ull, 9686ull, 1486ull, 250ull,
-        0ull, 0ull, 183877ull, 0ull,
-        875859ull, 8ull, 0ull, 2821ull,
-        52ull, 176459ull, 534ull, 1415ull,
-        514ull, 3ull, 0ull, 1492ull,
-        1173ull, 0ull, 17ull, 0ull,
-        0ull, 0ull, 0ull, 6273ull,
-        177ull, 9658ull, 1596ull, 338ull,
-        0ull, 0ull, 169994ull, 0ull,
-        860052ull, 8ull, 0ull, 2606ull,
-        49ull, 160926ull, 560ull, 1500ull,
-        543ull, 39ull, 0ull, 1840ull,
-        1404ull, 0ull, 19ull, 0ull,
+       {712018ull, 1ull, 347ull, 32ull,
+        32ull, 0ull, 0ull, 6315ull,
+        119ull, 9775ull, 1489ull, 279ull,
+        0ull, 0ull, 184242ull, 0ull,
+        885603ull, 8ull, 0ull, 2827ull,
+        77ull, 176626ull, 532ull, 1417ull,
+        515ull, 4ull, 0ull, 1572ull,
+        1221ull, 0ull, 16ull, 0ull,
+        0ull, 0ull, 0ull, 6456ull,
+        215ull, 9857ull, 1620ull, 357ull,
+        0ull, 0ull, 168425ull, 0ull,
+        777459ull, 8ull, 0ull, 2581ull,
+        37ull, 158425ull, 563ull, 1501ull,
+        547ull, 43ull, 0ull, 1489ull,
+        1013ull, 0ull, 16ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsAn4DevOwnerOnly",
-       {710449ull, 1ull, 346ull, 82ull,
-        82ull, 0ull, 0ull, 6366ull,
-        74ull, 8109ull, 728ull, 197ull,
-        0ull, 0ull, 194705ull, 0ull,
-        876726ull, 8ull, 0ull, 2995ull,
-        16ull, 188784ull, 266ull, 681ull,
-        254ull, 0ull, 0ull, 1166ull,
-        922ull, 0ull, 11ull, 0ull,
-        0ull, 0ull, 0ull, 6411ull,
-        148ull, 8048ull, 840ull, 315ull,
-        0ull, 0ull, 184020ull, 0ull,
-        817689ull, 8ull, 0ull, 2829ull,
-        11ull, 176055ull, 289ull, 742ull,
-        258ull, 5ull, 0ull, 1273ull,
-        863ull, 0ull, 28ull, 0ull,
-        0ull, 0ull, 0ull, 6471ull,
-        145ull, 8037ull, 827ull, 271ull,
-        0ull, 0ull, 186742ull, 0ull,
-        792747ull, 8ull, 0ull, 2871ull,
-        9ull, 179059ull, 286ull, 735ull,
-        257ull, 7ull, 0ull, 1034ull,
-        669ull, 0ull, 31ull, 0ull,
-        0ull, 0ull, 0ull, 6458ull,
-        143ull, 8213ull, 853ull, 284ull,
-        0ull, 0ull, 183693ull, 0ull,
-        797388ull, 8ull, 0ull, 2824ull,
-        29ull, 175912ull, 297ull, 773ull,
-        286ull, 35ull, 0ull, 1121ull,
-        756ull, 0ull, 12ull, 0ull,
+       {712555ull, 1ull, 347ull, 84ull,
+        84ull, 0ull, 0ull, 6414ull,
+        73ull, 8141ull, 728ull, 211ull,
+        0ull, 0ull, 196346ull, 0ull,
+        864300ull, 8ull, 0ull, 3020ull,
+        0ull, 190464ull, 267ull, 681ull,
+        254ull, 0ull, 0ull, 1077ull,
+        820ull, 0ull, 11ull, 0ull,
+        0ull, 0ull, 0ull, 6432ull,
+        129ull, 8097ull, 847ull, 281ull,
+        0ull, 0ull, 188168ull, 0ull,
+        833379ull, 8ull, 0ull, 2893ull,
+        17ull, 180721ull, 294ull, 763ull,
+        264ull, 11ull, 0ull, 1218ull,
+        853ull, 0ull, 30ull, 0ull,
+        0ull, 0ull, 0ull, 6543ull,
+        164ull, 8206ull, 884ull, 270ull,
+        0ull, 0ull, 184766ull, 0ull,
+        764847ull, 8ull, 0ull, 2840ull,
+        18ull, 176371ull, 305ull, 782ull,
+        275ull, 25ull, 0ull, 942ull,
+        569ull, 0ull, 31ull, 0ull,
+        0ull, 0ull, 0ull, 6475ull,
+        91ull, 8242ull, 832ull, 210ull,
+        0ull, 0ull, 194426ull, 0ull,
+        827913ull, 8ull, 0ull, 2990ull,
+        32ull, 188000ull, 299ull, 777ull,
+        287ull, 36ull, 0ull, 936ull,
+        671ull, 0ull, 12ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsAn4DevSteal",
-       {767804ull, 1ull, 374ull, 1940ull,
-        2614ull, 674ull, 0ull, 6705ull,
-        274ull, 10046ull, 1125ull, 651ull,
-        0ull, 0ull, 178615ull, 0ull,
-        1037343ull, 8ull, 0ull, 2733ull,
-        0ull, 165375ull, 716ull, 1389ull,
-        253ull, 0ull, 0ull, 3181ull,
-        2281ull, 0ull, 718ull, 0ull,
-        0ull, 0ull, 0ull, 6783ull,
-        310ull, 9364ull, 1454ull, 674ull,
-        0ull, 0ull, 174927ull, 0ull,
-        979713ull, 8ull, 0ull, 2675ull,
-        32ull, 160355ull, 899ull, 1176ull,
-        259ull, 6ull, 0ull, 3007ull,
-        2071ull, 0ull, 463ull, 0ull,
-        0ull, 0ull, 0ull, 6911ull,
-        279ull, 9376ull, 1447ull, 507ull,
-        0ull, 0ull, 181895ull, 0ull,
-        939315ull, 8ull, 0ull, 2783ull,
-        33ull, 168615ull, 898ull, 1143ull,
-        268ull, 24ull, 0ull, 2413ull,
-        1685ull, 0ull, 410ull, 0ull,
-        0ull, 0ull, 0ull, 6401ull,
-        254ull, 9034ull, 1756ull, 693ull,
-        0ull, 0ull, 176910ull, 0ull,
-        1187079ull, 8ull, 0ull, 2703ull,
-        68ull, 162972ull, 1171ull, 1117ull,
-        289ull, 41ull, 0ull, 4071ull,
-        3153ull, 0ull, 349ull, 0ull,
+       {708417ull, 1ull, 345ull, 1513ull,
+        2022ull, 509ull, 0ull, 6007ull,
+        193ull, 9007ull, 1244ull, 518ull,
+        0ull, 0ull, 166258ull, 0ull,
+        988179ull, 8ull, 0ull, 2544ull,
+        14ull, 155582ull, 827ull, 1203ull,
+        254ull, 0ull, 0ull, 2912ull,
+        2213ull, 0ull, 528ull, 0ull,
+        0ull, 0ull, 0ull, 6062ull,
+        215ull, 8622ull, 1416ull, 502ull,
+        0ull, 0ull, 166239ull, 0ull,
+        944628ull, 8ull, 0ull, 2544ull,
+        19ull, 154796ull, 857ull, 1076ull,
+        271ull, 18ull, 0ull, 2670ull,
+        1996ull, 0ull, 316ull, 0ull,
+        0ull, 0ull, 0ull, 6163ull,
+        237ull, 8566ull, 1609ull, 475ull,
+        0ull, 0ull, 164407ull, 0ull,
+        894081ull, 8ull, 0ull, 2514ull,
+        45ull, 152724ull, 991ull, 1051ull,
+        295ull, 47ull, 0ull, 2423ull,
+        1767ull, 0ull, 244ull, 0ull,
+        0ull, 0ull, 0ull, 6275ull,
+        154ull, 8833ull, 871ull, 385ull,
+        0ull, 0ull, 177654ull, 0ull,
+        871065ull, 8ull, 0ull, 2727ull,
+        47ull, 168997ull, 436ull, 1139ull,
+        268ull, 17ull, 0ull, 1817ull,
+        1295ull, 0ull, 425ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsRfan1DevOwnerOnly",
-       {599976ull, 1ull, 292ull, 0ull,
-        0ull, 0ull, 0ull, 5438ull,
-        175ull, 31076ull, 3265ull, 0ull,
+       {601724ull, 1ull, 293ull, 0ull,
+        0ull, 0ull, 0ull, 5460ull,
+        175ull, 31099ull, 3265ull, 0ull,
         0ull, 0ull, 3858ull, 194ull,
-        549600ull, 8ull, 0ull, 2387ull,
-        151148ull, 0ull, 1102ull, 2993ull,
+        552240ull, 8ull, 0ull, 2398ull,
+        151852ull, 0ull, 1102ull, 2993ull,
         1101ull, 78ull, 0ull, 272ull,
         0ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsRfan1DevSteal",
-       {599976ull, 1ull, 292ull, 0ull,
-        0ull, 0ull, 0ull, 5438ull,
-        175ull, 31076ull, 3265ull, 0ull,
+       {601724ull, 1ull, 293ull, 0ull,
+        0ull, 0ull, 0ull, 5460ull,
+        175ull, 31099ull, 3265ull, 0ull,
         0ull, 0ull, 3858ull, 194ull,
-        549600ull, 8ull, 0ull, 2387ull,
-        151148ull, 0ull, 1102ull, 2993ull,
+        552240ull, 8ull, 0ull, 2398ull,
+        151852ull, 0ull, 1102ull, 2993ull,
         1101ull, 78ull, 0ull, 272ull,
         0ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsRfan2DevOwnerOnly",
-       {749255ull, 1ull, 365ull, 35ull,
-        35ull, 0ull, 0ull, 7271ull,
-        113ull, 39995ull, 1603ull, 0ull,
+       {747274ull, 1ull, 364ull, 35ull,
+        35ull, 0ull, 0ull, 7245ull,
+        113ull, 39864ull, 1603ull, 0ull,
         0ull, 0ull, 2199ull, 122ull,
-        789600ull, 8ull, 0ull, 3351ull,
-        213412ull, 0ull, 538ull, 1428ull,
+        786480ull, 8ull, 0ull, 3338ull,
+        212580ull, 0ull, 538ull, 1428ull,
         519ull, 8ull, 0ull, 174ull,
         0ull, 0ull, 17ull, 0ull,
-        0ull, 0ull, 0ull, 7281ull,
-        100ull, 38472ull, 1771ull, 0ull,
-        0ull, 0ull, 2357ull, 110ull,
-        798720ull, 8ull, 0ull, 3383ull,
-        215388ull, 0ull, 607ull, 1616ull,
-        590ull, 86ull, 0ull, 156ull,
+        0ull, 0ull, 0ull, 7256ull,
+        99ull, 38565ull, 1780ull, 0ull,
+        0ull, 0ull, 2366ull, 108ull,
+        797040ull, 8ull, 0ull, 3375ull,
+        214872ull, 0ull, 611ull, 1627ull,
+        594ull, 90ull, 0ull, 154ull,
         0ull, 0ull, 18ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsRfan2DevSteal",
-       {749255ull, 1ull, 365ull, 35ull,
-        35ull, 0ull, 0ull, 7271ull,
-        113ull, 39995ull, 1603ull, 0ull,
+       {747274ull, 1ull, 364ull, 35ull,
+        35ull, 0ull, 0ull, 7245ull,
+        113ull, 39864ull, 1603ull, 0ull,
         0ull, 0ull, 2199ull, 122ull,
-        789600ull, 8ull, 0ull, 3351ull,
-        213412ull, 0ull, 538ull, 1428ull,
+        786480ull, 8ull, 0ull, 3338ull,
+        212580ull, 0ull, 538ull, 1428ull,
         519ull, 8ull, 0ull, 174ull,
         0ull, 0ull, 17ull, 0ull,
-        0ull, 0ull, 0ull, 7281ull,
-        100ull, 38472ull, 1771ull, 0ull,
-        0ull, 0ull, 2357ull, 110ull,
-        798720ull, 8ull, 0ull, 3383ull,
-        215388ull, 0ull, 607ull, 1616ull,
-        590ull, 86ull, 0ull, 156ull,
+        0ull, 0ull, 0ull, 7256ull,
+        99ull, 38565ull, 1780ull, 0ull,
+        0ull, 0ull, 2366ull, 108ull,
+        797040ull, 8ull, 0ull, 3375ull,
+        214872ull, 0ull, 611ull, 1627ull,
+        594ull, 90ull, 0ull, 154ull,
         0ull, 0ull, 18ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsRfan4DevOwnerOnly",
-       {767840ull, 1ull, 374ull, 95ull,
-        95ull, 0ull, 0ull, 7496ull,
-        74ull, 39988ull, 798ull, 0ull,
+       {755423ull, 1ull, 368ull, 95ull,
+        95ull, 0ull, 0ull, 7352ull,
+        74ull, 39188ull, 798ull, 0ull,
         0ull, 0ull, 1389ull, 84ull,
-        848160ull, 8ull, 0ull, 3576ull,
-        228085ull, 0ull, 267ull, 681ull,
+        830880ull, 8ull, 0ull, 3504ull,
+        223477ull, 0ull, 267ull, 681ull,
         254ull, 0ull, 0ull, 116ull,
         0ull, 0ull, 11ull, 0ull,
-        0ull, 0ull, 0ull, 7503ull,
-        79ull, 38529ull, 941ull, 0ull,
-        0ull, 0ull, 1521ull, 84ull,
-        848880ull, 8ull, 0ull, 3579ull,
-        228228ull, 0ull, 314ull, 819ull,
-        281ull, 28ull, 0ull, 121ull,
+        0ull, 0ull, 0ull, 7357ull,
+        79ull, 37755ull, 936ull, 0ull,
+        0ull, 0ull, 1516ull, 84ull,
+        831360ull, 8ull, 0ull, 3506ull,
+        223558ull, 0ull, 312ull, 814ull,
+        279ull, 26ull, 0ull, 121ull,
         0ull, 0ull, 32ull, 0ull,
-        0ull, 0ull, 0ull, 7503ull,
-        78ull, 38480ull, 990ull, 0ull,
+        0ull, 0ull, 0ull, 7356ull,
+        78ull, 37631ull, 991ull, 0ull,
         0ull, 0ull, 1579ull, 76ull,
-        852720ull, 8ull, 0ull, 3592ull,
-        229028ull, 0ull, 343ull, 873ull,
-        306ull, 54ull, 0ull, 115ull,
+        834000ull, 8ull, 0ull, 3514ull,
+        224036ull, 0ull, 343ull, 873ull,
+        306ull, 54ull, 0ull, 116ull,
         0ull, 0ull, 35ull, 0ull,
-        0ull, 0ull, 0ull, 7512ull,
-        77ull, 38219ull, 974ull, 0ull,
-        0ull, 0ull, 1559ull, 82ull,
-        847680ull, 8ull, 0ull, 3573ull,
-        227833ull, 0ull, 327ull, 860ull,
-        314ull, 63ull, 0ull, 118ull,
+        0ull, 0ull, 0ull, 7365ull,
+        72ull, 37607ull, 953ull, 0ull,
+        0ull, 0ull, 1534ull, 78ull,
+        833040ull, 8ull, 0ull, 3510ull,
+        223806ull, 0ull, 322ull, 846ull,
+        309ull, 57ull, 0ull, 111ull,
         0ull, 0ull, 17ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterBfsRfan4DevSteal",
-       {749355ull, 1ull, 365ull, 1471ull,
-        1964ull, 493ull, 0ull, 7299ull,
-        182ull, 39353ull, 1266ull, 0ull,
-        0ull, 0ull, 2776ull, 192ull,
-        765120ull, 8ull, 0ull, 3284ull,
-        208891ull, 0ull, 770ull, 1244ull,
-        253ull, 0ull, 0ull, 278ull,
-        0ull, 0ull, 574ull, 0ull,
-        0ull, 0ull, 0ull, 7274ull,
-        148ull, 38244ull, 1601ull, 0ull,
-        0ull, 0ull, 2997ull, 168ull,
-        784800ull, 8ull, 0ull, 3354ull,
-        213176ull, 0ull, 964ull, 987ull,
-        269ull, 15ull, 0ull, 233ull,
-        0ull, 0ull, 238ull, 0ull,
-        0ull, 0ull, 0ull, 7285ull,
-        152ull, 37826ull, 1574ull, 0ull,
-        0ull, 0ull, 2888ull, 158ull,
-        786960ull, 8ull, 0ull, 3358ull,
-        213500ull, 0ull, 895ull, 1087ull,
-        304ull, 52ull, 0ull, 231ull,
-        0ull, 0ull, 258ull, 0ull,
-        0ull, 0ull, 0ull, 7326ull,
-        153ull, 36815ull, 1032ull, 0ull,
-        0ull, 0ull, 2059ull, 148ull,
-        779280ull, 8ull, 0ull, 3322ull,
-        211639ull, 0ull, 456ull, 1186ull,
-        294ull, 44ull, 0ull, 227ull,
-        0ull, 0ull, 401ull, 0ull,
+       {745285ull, 1ull, 363ull, 1395ull,
+        1862ull, 467ull, 0ull, 7248ull,
+        167ull, 39276ull, 1321ull, 0ull,
+        0ull, 0ull, 2786ull, 198ull,
+        760080ull, 8ull, 0ull, 3266ull,
+        207706ull, 0ull, 802ull, 1146ull,
+        253ull, 0ull, 0ull, 277ull,
+        0ull, 0ull, 479ull, 0ull,
+        0ull, 0ull, 0ull, 7237ull,
+        133ull, 38368ull, 1165ull, 0ull,
+        0ull, 0ull, 2281ull, 148ull,
+        784320ull, 8ull, 0ull, 3342ull,
+        212769ull, 0ull, 602ull, 1098ull,
+        262ull, 9ull, 0ull, 212ull,
+        0ull, 0ull, 367ull, 0ull,
+        0ull, 0ull, 0ull, 7220ull,
+        157ull, 38004ull, 1764ull, 0ull,
+        0ull, 0ull, 3281ull, 190ull,
+        776880ull, 8ull, 0ull, 3332ull,
+        211624ull, 0ull, 1107ull, 938ull,
+        264ull, 52ull, 0ull, 260ull,
+        0ull, 0ull, 210ull, 0ull,
+        0ull, 0ull, 0ull, 7268ull,
+        128ull, 36963ull, 989ull, 0ull,
+        0ull, 0ull, 1901ull, 134ull,
+        782880ull, 8ull, 0ull, 3329ull,
+        212126ull, 0ull, 418ull, 1103ull,
+        287ull, 34ull, 0ull, 205ull,
+        0ull, 0ull, 339ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterSsspBase1DevOwnerOnly",
-       {582810ull, 1ull, 284ull, 0ull,
-        0ull, 0ull, 0ull, 4686ull,
-        400ull, 14468ull, 5607ull, 32672ull,
-        9984ull, 0ull, 0ull, 0ull,
-        194160ull, 8ull, 0ull, 1022ull,
-        486ull, 60631ull, 1168ull, 4439ull,
-        1167ull, 768ull, 0ull, 33840ull,
-        9984ull, 0ull, 0ull, 0ull,
+       {581251ull, 1ull, 283ull, 0ull,
+        0ull, 0ull, 0ull, 4674ull,
+        422ull, 14532ull, 5693ull, 32723ull,
+        10205ull, 0ull, 0ull, 0ull,
+        170400ull, 8ull, 0ull, 937ull,
+        422ull, 55262ull, 1187ull, 4506ull,
+        1186ull, 787ull, 0ull, 33910ull,
+        10205ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspBase1DevSteal",
-       {582810ull, 1ull, 284ull, 0ull,
-        0ull, 0ull, 0ull, 4686ull,
-        400ull, 14468ull, 5607ull, 32672ull,
-        9984ull, 0ull, 0ull, 0ull,
-        194160ull, 8ull, 0ull, 1022ull,
-        486ull, 60631ull, 1168ull, 4439ull,
-        1167ull, 768ull, 0ull, 33840ull,
-        9984ull, 0ull, 0ull, 0ull,
+       {581251ull, 1ull, 283ull, 0ull,
+        0ull, 0ull, 0ull, 4674ull,
+        422ull, 14532ull, 5693ull, 32723ull,
+        10205ull, 0ull, 0ull, 0ull,
+        170400ull, 8ull, 0ull, 937ull,
+        422ull, 55262ull, 1187ull, 4506ull,
+        1186ull, 787ull, 0ull, 33910ull,
+        10205ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspBase2DevOwnerOnly",
-       {603890ull, 1ull, 294ull, 112ull,
-        112ull, 0ull, 0ull, 5467ull,
-        355ull, 9497ull, 2142ull, 25901ull,
-        1774ull, 0ull, 100ull, 0ull,
-        297840ull, 8ull, 0ull, 1426ull,
-        76ull, 89601ull, 482ull, 1607ull,
-        422ull, 223ull, 0ull, 26430ull,
-        1774ull, 0ull, 53ull, 0ull,
-        0ull, 0ull, 0ull, 5371ull,
-        359ull, 11434ull, 3095ull, 24671ull,
-        4139ull, 0ull, 106ull, 0ull,
-        281760ull, 8ull, 0ull, 1354ull,
-        164ull, 84225ull, 670ull, 2384ull,
-        617ull, 420ull, 0ull, 25388ull,
-        4139ull, 0ull, 59ull, 0ull,
+       {616155ull, 1ull, 300ull, 104ull,
+        104ull, 0ull, 0ull, 5624ull,
+        343ull, 9549ull, 2086ull, 26215ull,
+        1866ull, 0ull, 98ull, 0ull,
+        330720ull, 8ull, 0ull, 1559ull,
+        82ull, 98179ull, 466ull, 1580ull,
+        415ull, 216ull, 0ull, 26725ull,
+        1866ull, 0ull, 54ull, 0ull,
+        0ull, 0ull, 0ull, 5555ull,
+        377ull, 11638ull, 3021ull, 23495ull,
+        3260ull, 0ull, 93ull, 0ull,
+        281280ull, 8ull, 0ull, 1360ull,
+        141ull, 84650ull, 654ull, 2320ull,
+        600ull, 402ull, 0ull, 24192ull,
+        3260ull, 0ull, 50ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspBase2DevSteal",
-       {603890ull, 1ull, 294ull, 112ull,
-        112ull, 0ull, 0ull, 5467ull,
-        355ull, 9497ull, 2142ull, 25901ull,
-        1774ull, 0ull, 100ull, 0ull,
-        297840ull, 8ull, 0ull, 1426ull,
-        76ull, 89601ull, 482ull, 1607ull,
-        422ull, 223ull, 0ull, 26430ull,
-        1774ull, 0ull, 53ull, 0ull,
-        0ull, 0ull, 0ull, 5371ull,
-        359ull, 11434ull, 3095ull, 24671ull,
-        4139ull, 0ull, 106ull, 0ull,
-        281760ull, 8ull, 0ull, 1354ull,
-        164ull, 84225ull, 670ull, 2384ull,
-        617ull, 420ull, 0ull, 25388ull,
-        4139ull, 0ull, 59ull, 0ull,
+       {616155ull, 1ull, 300ull, 104ull,
+        104ull, 0ull, 0ull, 5624ull,
+        343ull, 9549ull, 2086ull, 26215ull,
+        1866ull, 0ull, 98ull, 0ull,
+        330720ull, 8ull, 0ull, 1559ull,
+        82ull, 98179ull, 466ull, 1580ull,
+        415ull, 216ull, 0ull, 26725ull,
+        1866ull, 0ull, 54ull, 0ull,
+        0ull, 0ull, 0ull, 5555ull,
+        377ull, 11638ull, 3021ull, 23495ull,
+        3260ull, 0ull, 93ull, 0ull,
+        281280ull, 8ull, 0ull, 1360ull,
+        141ull, 84650ull, 654ull, 2320ull,
+        600ull, 402ull, 0ull, 24192ull,
+        3260ull, 0ull, 50ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspBase4DevOwnerOnly",
-       {597682ull, 1ull, 291ull, 387ull,
-        387ull, 0ull, 0ull, 5470ull,
-        294ull, 7311ull, 1234ull, 23294ull,
-        837ull, 0ull, 120ull, 0ull,
-        399840ull, 8ull, 0ull, 1818ull,
-        39ull, 115228ull, 303ull, 868ull,
-        231ull, 132ull, 0ull, 23653ull,
-        837ull, 0ull, 64ull, 0ull,
-        0ull, 0ull, 0ull, 5451ull,
-        414ull, 8131ull, 1769ull, 24099ull,
-        1323ull, 0ull, 253ull, 0ull,
-        320400ull, 8ull, 0ull, 1523ull,
-        36ull, 96058ull, 428ull, 1234ull,
-        300ull, 204ull, 0ull, 24643ull,
-        1323ull, 0ull, 137ull, 0ull,
-        0ull, 0ull, 0ull, 5419ull,
-        366ull, 8044ull, 1652ull, 24063ull,
-        1285ull, 0ull, 219ull, 0ull,
-        358800ull, 8ull, 0ull, 1666ull,
-        41ull, 105224ull, 410ull, 1119ull,
-        274ull, 177ull, 0ull, 24576ull,
-        1285ull, 0ull, 116ull, 0ull,
-        0ull, 0ull, 0ull, 5556ull,
-        312ull, 8017ull, 1547ull, 18039ull,
-        940ull, 0ull, 129ull, 0ull,
-        361200ull, 8ull, 0ull, 1656ull,
-        28ull, 104762ull, 346ull, 1160ull,
-        294ull, 195ull, 0ull, 18444ull,
-        940ull, 0ull, 70ull, 0ull,
+       {560866ull, 1ull, 273ull, 313ull,
+        313ull, 0ull, 0ull, 4992ull,
+        286ull, 6993ull, 1261ull, 23231ull,
+        935ull, 0ull, 120ull, 0ull,
+        345360ull, 8ull, 0ull, 1587ull,
+        27ull, 100418ull, 307ull, 891ull,
+        237ull, 138ull, 0ull, 23595ull,
+        935ull, 0ull, 63ull, 0ull,
+        0ull, 0ull, 0ull, 5038ull,
+        356ull, 7289ull, 1500ull, 22349ull,
+        971ull, 0ull, 198ull, 0ull,
+        296880ull, 8ull, 0ull, 1409ull,
+        21ull, 88938ull, 358ull, 1056ull,
+        254ull, 157ull, 0ull, 22801ull,
+        971ull, 0ull, 112ull, 0ull,
+        0ull, 0ull, 0ull, 5038ull,
+        301ull, 6566ull, 1145ull, 21734ull,
+        649ull, 0ull, 146ull, 0ull,
+        349440ull, 8ull, 0ull, 1615ull,
+        20ull, 102320ull, 288ull, 757ull,
+        185ull, 88ull, 0ull, 22097ull,
+        649ull, 0ull, 78ull, 0ull,
+        0ull, 0ull, 0ull, 5145ull,
+        304ull, 7183ull, 1394ull, 15905ull,
+        964ull, 0ull, 114ull, 0ull,
+        322800ull, 8ull, 0ull, 1492ull,
+        31ull, 94356ull, 304ull, 1059ull,
+        267ull, 169ull, 0ull, 16263ull,
+        964ull, 0ull, 60ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspBase4DevSteal",
-       {794357ull, 1ull, 387ull, 1734ull,
-        2114ull, 380ull, 0ull, 7754ull,
-        390ull, 10543ull, 1912ull, 37782ull,
-        2835ull, 0ull, 301ull, 0ull,
-        582000ull, 8ull, 0ull, 2628ull,
-        47ull, 165961ull, 680ull, 1278ull,
-        225ull, 126ull, 0ull, 38567ull,
-        2835ull, 0ull, 485ull, 0ull,
-        0ull, 0ull, 0ull, 7824ull,
-        472ull, 11037ull, 1744ull, 34689ull,
-        1465ull, 0ull, 409ull, 0ull,
-        532560ull, 8ull, 0ull, 2435ull,
-        16ull, 154273ull, 505ull, 1527ull,
-        264ull, 167ull, 0ull, 35345ull,
-        1465ull, 0ull, 561ull, 0ull,
-        0ull, 0ull, 0ull, 7759ull,
-        442ull, 10811ull, 1818ull, 36395ull,
-        1583ull, 0ull, 335ull, 0ull,
-        562800ull, 8ull, 0ull, 2561ull,
-        35ull, 162221ull, 528ull, 1395ull,
-        262ull, 164ull, 0ull, 37055ull,
-        1583ull, 0ull, 415ull, 0ull,
-        0ull, 0ull, 0ull, 7514ull,
-        408ull, 10835ull, 3791ull, 42079ull,
-        8554ull, 0ull, 221ull, 0ull,
-        541440ull, 8ull, 0ull, 2474ull,
-        48ull, 153079ull, 1457ull, 1419ull,
-        304ull, 207ull, 0ull, 43624ull,
-        8554ull, 0ull, 273ull, 0ull,
+       {771838ull, 1ull, 376ull, 2766ull,
+        3400ull, 634ull, 0ull, 7291ull,
+        339ull, 11471ull, 2997ull, 39526ull,
+        7420ull, 0ull, 358ull, 0ull,
+        568800ull, 8ull, 0ull, 2555ull,
+        31ull, 159184ull, 1245ull, 1777ull,
+        242ull, 143ull, 0ull, 40895ull,
+        7420ull, 0ull, 926ull, 0ull,
+        0ull, 0ull, 0ull, 7458ull,
+        414ull, 11659ull, 2081ull, 33235ull,
+        2723ull, 0ull, 393ull, 0ull,
+        524880ull, 8ull, 0ull, 2393ull,
+        31ull, 150843ull, 659ull, 1762ull,
+        279ull, 182ull, 0ull, 34051ull,
+        2723ull, 0ull, 716ull, 0ull,
+        0ull, 0ull, 0ull, 7108ull,
+        410ull, 10419ull, 4698ull, 44596ull,
+        13041ull, 0ull, 276ull, 0ull,
+        513360ull, 8ull, 0ull, 2360ull,
+        21ull, 143670ull, 1975ull, 1317ull,
+        259ull, 162ull, 0ull, 46694ull,
+        13041ull, 0ull, 365ull, 0ull,
+        0ull, 0ull, 0ull, 7520ull,
+        366ull, 11601ull, 1917ull, 29617ull,
+        2615ull, 0ull, 351ull, 0ull,
+        549120ull, 8ull, 0ull, 2465ull,
+        44ull, 155730ull, 584ull, 1843ull,
+        282ull, 183ull, 0ull, 30328ull,
+        2615ull, 0ull, 759ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspAn1DevOwnerOnly",
-       {501370ull, 1ull, 244ull, 0ull,
-        0ull, 0ull, 0ull, 3792ull,
-        77ull, 9060ull, 2754ull, 208ull,
-        0ull, 0ull, 106849ull, 0ull,
-        645258ull, 8ull, 0ull, 1633ull,
-        40ull, 101464ull, 721ull, 2715ull,
-        720ull, 321ull, 0ull, 1693ull,
-        1446ull, 0ull, 0ull, 0ull,
+       {507702ull, 1ull, 247ull, 0ull,
+        0ull, 0ull, 0ull, 3841ull,
+        77ull, 9118ull, 2754ull, 220ull,
+        0ull, 0ull, 108257ull, 0ull,
+        668346ull, 8ull, 0ull, 1656ull,
+        127ull, 102849ull, 721ull, 2715ull,
+        720ull, 321ull, 0ull, 1801ull,
+        1542ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspAn1DevSteal",
-       {501370ull, 1ull, 244ull, 0ull,
-        0ull, 0ull, 0ull, 3792ull,
-        77ull, 9060ull, 2754ull, 208ull,
-        0ull, 0ull, 106849ull, 0ull,
-        645258ull, 8ull, 0ull, 1633ull,
-        40ull, 101464ull, 721ull, 2715ull,
-        720ull, 321ull, 0ull, 1693ull,
-        1446ull, 0ull, 0ull, 0ull,
+       {507702ull, 1ull, 247ull, 0ull,
+        0ull, 0ull, 0ull, 3841ull,
+        77ull, 9118ull, 2754ull, 220ull,
+        0ull, 0ull, 108257ull, 0ull,
+        668346ull, 8ull, 0ull, 1656ull,
+        127ull, 102849ull, 721ull, 2715ull,
+        720ull, 321ull, 0ull, 1801ull,
+        1542ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspAn2DevOwnerOnly",
-       {593744ull, 1ull, 289ull, 86ull,
-        86ull, 0ull, 0ull, 4821ull,
-        149ull, 8351ull, 1504ull, 399ull,
-        0ull, 0ull, 130818ull, 0ull,
-        757809ull, 8ull, 0ull, 2008ull,
-        32ull, 122912ull, 413ull, 1384ull,
-        364ull, 165ull, 0ull, 2132ull,
-        1623ull, 0ull, 38ull, 0ull,
-        0ull, 0ull, 0ull, 4992ull,
-        173ull, 8331ull, 1566ull, 357ull,
-        0ull, 0ull, 127661ull, 0ull,
-        672231ull, 8ull, 0ull, 1959ull,
-        26ull, 119846ull, 411ull, 1453ull,
-        373ull, 174ull, 0ull, 1697ull,
-        1217ull, 0ull, 48ull, 0ull,
+       {595667ull, 1ull, 290ull, 80ull,
+        80ull, 0ull, 0ull, 4930ull,
+        142ull, 8421ull, 1496ull, 357ull,
+        0ull, 0ull, 133955ull, 0ull,
+        724332ull, 8ull, 0ull, 2057ull,
+        70ull, 126650ull, 408ull, 1392ull,
+        366ull, 167ull, 0ull, 1823ull,
+        1364ull, 0ull, 39ull, 0ull,
+        0ull, 0ull, 0ull, 4960ull,
+        157ull, 8102ull, 1487ull, 351ull,
+        0ull, 0ull, 129543ull, 0ull,
+        713937ull, 8ull, 0ull, 1989ull,
+        41ull, 122135ull, 393ull, 1378ull,
+        354ull, 155ull, 0ull, 1861ull,
+        1399ull, 0ull, 41ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspAn2DevSteal",
-       {593744ull, 1ull, 289ull, 86ull,
-        86ull, 0ull, 0ull, 4821ull,
-        149ull, 8351ull, 1504ull, 399ull,
-        0ull, 0ull, 130818ull, 0ull,
-        757809ull, 8ull, 0ull, 2008ull,
-        32ull, 122912ull, 413ull, 1384ull,
-        364ull, 165ull, 0ull, 2132ull,
-        1623ull, 0ull, 38ull, 0ull,
-        0ull, 0ull, 0ull, 4992ull,
-        173ull, 8331ull, 1566ull, 357ull,
-        0ull, 0ull, 127661ull, 0ull,
-        672231ull, 8ull, 0ull, 1959ull,
-        26ull, 119846ull, 411ull, 1453ull,
-        373ull, 174ull, 0ull, 1697ull,
-        1217ull, 0ull, 48ull, 0ull,
+       {595667ull, 1ull, 290ull, 80ull,
+        80ull, 0ull, 0ull, 4930ull,
+        142ull, 8421ull, 1496ull, 357ull,
+        0ull, 0ull, 133955ull, 0ull,
+        724332ull, 8ull, 0ull, 2057ull,
+        70ull, 126650ull, 408ull, 1392ull,
+        366ull, 167ull, 0ull, 1823ull,
+        1364ull, 0ull, 39ull, 0ull,
+        0ull, 0ull, 0ull, 4960ull,
+        157ull, 8102ull, 1487ull, 351ull,
+        0ull, 0ull, 129543ull, 0ull,
+        713937ull, 8ull, 0ull, 1989ull,
+        41ull, 122135ull, 393ull, 1378ull,
+        354ull, 155ull, 0ull, 1861ull,
+        1399ull, 0ull, 41ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspAn4DevOwnerOnly",
-       {595772ull, 1ull, 290ull, 257ull,
-        257ull, 0ull, 0ull, 5008ull,
-        110ull, 6600ull, 761ull, 314ull,
-        0ull, 0ull, 144906ull, 0ull,
-        707244ull, 8ull, 0ull, 2230ull,
-        19ull, 138541ull, 225ull, 671ull,
-        181ull, 82ull, 0ull, 1425ull,
-        1028ull, 0ull, 36ull, 0ull,
-        0ull, 0ull, 0ull, 5107ull,
-        190ull, 6859ull, 877ull, 370ull,
-        0ull, 0ull, 134031ull, 0ull,
-        627024ull, 8ull, 0ull, 2060ull,
-        4ull, 125884ull, 258ull, 737ull,
-        182ull, 83ull, 0ull, 1364ull,
-        848ull, 0ull, 82ull, 0ull,
-        0ull, 0ull, 0ull, 5070ull,
-        205ull, 6648ull, 886ull, 435ull,
-        0ull, 0ull, 132661ull, 0ull,
-        626745ull, 8ull, 0ull, 2039ull,
-        24ull, 123625ull, 273ull, 700ull,
-        171ull, 73ull, 0ull, 1490ull,
-        895ull, 0ull, 76ull, 0ull,
-        0ull, 0ull, 0ull, 5254ull,
-        201ull, 7318ull, 1071ull, 293ull,
-        0ull, 0ull, 127112ull, 0ull,
-        560694ull, 8ull, 0ull, 1953ull,
-        11ull, 119352ull, 275ull, 959ull,
-        239ull, 140ull, 0ull, 1050ull,
-        618ull, 0ull, 63ull, 0ull,
+       {583514ull, 1ull, 284ull, 246ull,
+        246ull, 0ull, 0ull, 4930ull,
+        109ull, 6497ull, 760ull, 275ull,
+        0ull, 0ull, 142377ull, 0ull,
+        659511ull, 8ull, 0ull, 2191ull,
+        12ull, 135988ull, 225ull, 671ull,
+        181ull, 82ull, 0ull, 1174ull,
+        817ull, 0ull, 36ull, 0ull,
+        0ull, 0ull, 0ull, 4943ull,
+        164ull, 6708ull, 869ull, 342ull,
+        0ull, 0ull, 131673ull, 0ull,
+        627441ull, 8ull, 0ull, 2024ull,
+        0ull, 124032ull, 258ull, 737ull,
+        182ull, 83ull, 0ull, 1368ull,
+        887ull, 0ull, 83ull, 0ull,
+        0ull, 0ull, 0ull, 4930ull,
+        171ull, 6504ull, 851ull, 389ull,
+        0ull, 0ull, 131389ull, 0ull,
+        621153ull, 8ull, 0ull, 2020ull,
+        5ull, 123195ull, 260ull, 683ull,
+        166ull, 67ull, 0ull, 1407ull,
+        871ull, 0ull, 73ull, 0ull,
+        0ull, 0ull, 0ull, 5074ull,
+        147ull, 6666ull, 847ull, 220ull,
+        0ull, 0ull, 133788ull, 0ull,
+        588063ull, 8ull, 0ull, 2058ull,
+        7ull, 127613ull, 220ull, 762ull,
+        187ull, 88ull, 0ull, 927ull,
+        601ull, 0ull, 54ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspAn4DevSteal",
-       {794463ull, 1ull, 387ull, 1540ull,
-        1885ull, 345ull, 0ull, 7178ull,
-        195ull, 9792ull, 912ull, 497ull,
-        0ull, 0ull, 199626ull, 0ull,
-        1023708ull, 8ull, 0ull, 3065ull,
-        12ull, 189300ull, 422ull, 1159ull,
-        181ull, 82ull, 0ull, 2381ull,
-        1716ull, 0ull, 524ull, 0ull,
-        0ull, 0ull, 0ull, 7332ull,
-        308ull, 10354ull, 1158ull, 584ull,
-        0ull, 0ull, 185368ull, 0ull,
-        899007ull, 8ull, 0ull, 2843ull,
-        15ull, 173041ull, 422ull, 1283ull,
-        224ull, 125ull, 0ull, 2209ull,
-        1369ull, 0ull, 475ull, 0ull,
+       {773980ull, 1ull, 377ull, 995ull,
+        1200ull, 205ull, 0ull, 7016ull,
+        174ull, 9265ull, 975ull, 472ull,
+        0ull, 0ull, 196461ull, 0ull,
+        956658ull, 8ull, 0ull, 3018ull,
+        24ull, 186536ull, 429ull, 943ull,
+        181ull, 82ull, 0ull, 2043ull,
+        1406ull, 0ull, 308ull, 0ull,
         0ull, 0ull, 0ull, 7064ull,
-        281ull, 9756ull, 1207ull, 752ull,
-        0ull, 0ull, 185387ull, 0ull,
-        1014426ull, 8ull, 0ull, 2843ull,
-        15ull, 171954ull, 496ull, 1224ull,
-        214ull, 116ull, 0ull, 3015ull,
-        2022ull, 0ull, 439ull, 0ull,
-        0ull, 0ull, 0ull, 7041ull,
-        324ull, 10101ull, 2496ull, 592ull,
-        0ull, 0ull, 167046ull, 0ull,
-        1049757ull, 8ull, 0ull, 2546ull,
-        10ull, 152311ull, 1464ull, 1206ull,
-        299ull, 200ull, 0ull, 3447ull,
-        2619ull, 0ull, 102ull, 0ull,
+        229ull, 9308ull, 956ull, 582ull,
+        0ull, 0ull, 188268ull, 0ull,
+        896193ull, 8ull, 0ull, 2892ull,
+        22ull, 177066ull, 331ull, 949ull,
+        183ull, 84ull, 0ull, 2063ull,
+        1271ull, 0ull, 292ull, 0ull,
+        0ull, 0ull, 0ull, 6991ull,
+        250ull, 9002ull, 1038ull, 715ull,
+        0ull, 0ull, 182991ull, 0ull,
+        910989ull, 8ull, 0ull, 2810ull,
+        0ull, 170560ull, 358ull, 938ull,
+        185ull, 86ull, 0ull, 2424ull,
+        1483ull, 0ull, 249ull, 0ull,
+        0ull, 0ull, 0ull, 6822ull,
+        227ull, 8891ull, 1548ull, 495ull,
+        0ull, 0ull, 179692ull, 0ull,
+        1044552ull, 8ull, 0ull, 2753ull,
+        6ull, 168058ull, 832ull, 902ull,
+        200ull, 101ull, 0ull, 2943ull,
+        2264ull, 0ull, 146ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspRfan1DevOwnerOnly",
-       {509761ull, 1ull, 248ull, 0ull,
-        0ull, 0ull, 0ull, 4400ull,
-        102ull, 25960ull, 2875ull, 0ull,
-        0ull, 0ull, 2584ull, 120ull,
-        442560ull, 8ull, 0ull, 1904ull,
-        120623ull, 0ull, 721ull, 2713ull,
-        720ull, 321ull, 0ull, 162ull,
+       {517611ull, 1ull, 252ull, 0ull,
+        0ull, 0ull, 0ull, 4498ull,
+        106ull, 26485ull, 3055ull, 0ull,
+        0ull, 0ull, 2717ull, 124ull,
+        449760ull, 8ull, 0ull, 1936ull,
+        122623ull, 0ull, 769ull, 2887ull,
+        768ull, 369ull, 0ull, 168ull,
         0ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspRfan1DevSteal",
-       {509761ull, 1ull, 248ull, 0ull,
-        0ull, 0ull, 0ull, 4400ull,
-        102ull, 25960ull, 2875ull, 0ull,
-        0ull, 0ull, 2584ull, 120ull,
-        442560ull, 8ull, 0ull, 1904ull,
-        120623ull, 0ull, 721ull, 2713ull,
-        720ull, 321ull, 0ull, 162ull,
+       {517611ull, 1ull, 252ull, 0ull,
+        0ull, 0ull, 0ull, 4498ull,
+        106ull, 26485ull, 3055ull, 0ull,
+        0ull, 0ull, 2717ull, 124ull,
+        449760ull, 8ull, 0ull, 1936ull,
+        122623ull, 0ull, 769ull, 2887ull,
+        768ull, 369ull, 0ull, 168ull,
         0ull, 0ull, 0ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspRfan2DevOwnerOnly",
-       {626527ull, 1ull, 305ull, 97ull,
-        97ull, 0ull, 0ull, 5838ull,
-        110ull, 30989ull, 1763ull, 0ull,
+       {620204ull, 1ull, 302ull, 97ull,
+        97ull, 0ull, 0ull, 5762ull,
+        110ull, 30553ull, 1763ull, 0ull,
         0ull, 0ull, 1952ull, 104ull,
-        604080ull, 8ull, 0ull, 2569ull,
-        163433ull, 0ull, 471ull, 1598ull,
+        594960ull, 8ull, 0ull, 2531ull,
+        161001ull, 0ull, 471ull, 1598ull,
         420ull, 221ull, 0ull, 162ull,
         0ull, 0ull, 47ull, 0ull,
-        0ull, 0ull, 0ull, 5828ull,
-        116ull, 31904ull, 2649ull, 0ull,
-        0ull, 0ull, 2553ull, 110ull,
-        600960ull, 8ull, 0ull, 2559ull,
-        162569ull, 0ull, 695ull, 2481ull,
-        648ull, 451ull, 0ull, 171ull,
+        0ull, 0ull, 0ull, 5749ull,
+        112ull, 31567ull, 2665ull, 0ull,
+        0ull, 0ull, 2550ull, 106ull,
+        594720ull, 8ull, 0ull, 2531ull,
+        160774ull, 0ull, 698ull, 2503ull,
+        651ull, 454ull, 0ull, 165ull,
         0ull, 0ull, 50ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspRfan2DevSteal",
-       {626527ull, 1ull, 305ull, 97ull,
-        97ull, 0ull, 0ull, 5838ull,
-        110ull, 30989ull, 1763ull, 0ull,
+       {620204ull, 1ull, 302ull, 97ull,
+        97ull, 0ull, 0ull, 5762ull,
+        110ull, 30553ull, 1763ull, 0ull,
         0ull, 0ull, 1952ull, 104ull,
-        604080ull, 8ull, 0ull, 2569ull,
-        163433ull, 0ull, 471ull, 1598ull,
+        594960ull, 8ull, 0ull, 2531ull,
+        161001ull, 0ull, 471ull, 1598ull,
         420ull, 221ull, 0ull, 162ull,
         0ull, 0ull, 47ull, 0ull,
-        0ull, 0ull, 0ull, 5828ull,
-        116ull, 31904ull, 2649ull, 0ull,
-        0ull, 0ull, 2553ull, 110ull,
-        600960ull, 8ull, 0ull, 2559ull,
-        162569ull, 0ull, 695ull, 2481ull,
-        648ull, 451ull, 0ull, 171ull,
+        0ull, 0ull, 0ull, 5749ull,
+        112ull, 31567ull, 2665ull, 0ull,
+        0ull, 0ull, 2550ull, 106ull,
+        594720ull, 8ull, 0ull, 2531ull,
+        160774ull, 0ull, 698ull, 2503ull,
+        651ull, 454ull, 0ull, 165ull,
         0ull, 0ull, 50ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspRfan4DevOwnerOnly",
-       {646929ull, 1ull, 315ull, 336ull,
-        336ull, 0ull, 0ull, 6093ull,
-        90ull, 29252ull, 840ull, 0ull,
-        0ull, 0ull, 1305ull, 88ull,
-        661440ull, 8ull, 0ull, 2800ull,
-        178446ull, 0ull, 242ull, 696ull,
-        187ull, 88ull, 0ull, 134ull,
+       {638753ull, 1ull, 311ull, 366ull,
+        366ull, 0ull, 0ull, 5991ull,
+        91ull, 29057ull, 849ull, 0ull,
+        0ull, 0ull, 1316ull, 88ull,
+        648720ull, 8ull, 0ull, 2747ull,
+        175049ull, 0ull, 247ull, 700ull,
+        188ull, 89ull, 0ull, 135ull,
         0ull, 0ull, 44ull, 0ull,
-        0ull, 0ull, 0ull, 6097ull,
-        127ull, 29218ull, 1135ull, 0ull,
-        0ull, 0ull, 1631ull, 96ull,
-        645360ull, 8ull, 0ull, 2737ull,
-        174321ull, 0ull, 335ull, 972ull,
-        240ull, 142ull, 0ull, 175ull,
-        0ull, 0ull, 107ull, 0ull,
-        0ull, 0ull, 0ull, 6080ull,
-        113ull, 30127ull, 1206ull, 0ull,
-        0ull, 0ull, 1712ull, 88ull,
-        657600ull, 8ull, 0ull, 2784ull,
-        177284ull, 0ull, 380ull, 1027ull,
-        250ull, 153ull, 0ull, 157ull,
-        0ull, 0ull, 108ull, 0ull,
-        0ull, 0ull, 0ull, 6092ull,
-        98ull, 30200ull, 1473ull, 0ull,
-        0ull, 0ull, 1746ull, 88ull,
-        652320ull, 8ull, 0ull, 2762ull,
-        175863ull, 0ull, 393ull, 1351ull,
-        336ull, 237ull, 0ull, 142ull,
-        0ull, 0ull, 77ull, 0ull,
+        0ull, 0ull, 0ull, 5995ull,
+        104ull, 29100ull, 1047ull, 0ull,
+        0ull, 0ull, 1568ull, 88ull,
+        638160ull, 8ull, 0ull, 2703ull,
+        172160ull, 0ull, 320ull, 888ull,
+        216ull, 118ull, 0ull, 167ull,
+        0ull, 0ull, 112ull, 0ull,
+        0ull, 0ull, 0ull, 5973ull,
+        98ull, 30192ull, 1397ull, 0ull,
+        0ull, 0ull, 1882ull, 90ull,
+        644640ull, 8ull, 0ull, 2731ull,
+        173831ull, 0ull, 441ull, 1215ull,
+        300ull, 201ull, 0ull, 164ull,
+        0ull, 0ull, 123ull, 0ull,
+        0ull, 0ull, 0ull, 5988ull,
+        96ull, 30431ull, 1760ull, 0ull,
+        0ull, 0ull, 1961ull, 88ull,
+        640800ull, 8ull, 0ull, 2714ull,
+        172711ull, 0ull, 473ull, 1644ull,
+        410ull, 312ull, 0ull, 140ull,
+        0ull, 0ull, 87ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterSsspRfan4DevSteal",
-       {847632ull, 1ull, 413ull, 1761ull,
-        2173ull, 412ull, 0ull, 8533ull,
-        190ull, 44525ull, 1324ull, 0ull,
-        0ull, 0ull, 2584ull, 176ull,
-        877200ull, 8ull, 0ull, 3743ull,
-        238308ull, 0ull, 732ull, 1187ull,
-        182ull, 83ull, 0ull, 278ull,
-        0ull, 0ull, 547ull, 0ull,
-        0ull, 0ull, 0ull, 8544ull,
-        186ull, 41704ull, 1108ull, 0ull,
-        0ull, 0ull, 1940ull, 144ull,
-        888960ull, 8ull, 0ull, 3776ull,
-        240745ull, 0ull, 407ull, 1206ull,
-        207ull, 109ull, 0ull, 258ull,
-        0ull, 0ull, 459ull, 0ull,
-        0ull, 0ull, 0ull, 8535ull,
-        178ull, 41053ull, 1132ull, 0ull,
-        0ull, 0ull, 2060ull, 168ull,
-        900720ull, 8ull, 0ull, 3837ull,
-        244560ull, 0ull, 496ull, 1093ull,
-        171ull, 73ull, 0ull, 262ull,
-        0ull, 0ull, 444ull, 0ull,
-        0ull, 0ull, 0ull, 8464ull,
-        176ull, 42869ull, 2130ull, 0ull,
-        0ull, 0ull, 3699ull, 212ull,
-        914160ull, 8ull, 0ull, 3915ull,
-        248735ull, 0ull, 1313ull, 1128ull,
-        214ull, 115ull, 0ull, 282ull,
-        0ull, 0ull, 311ull, 0ull,
+       {786253ull, 1ull, 383ull, 1418ull,
+        1729ull, 311ull, 0ull, 7780ull,
+        146ull, 40189ull, 1142ull, 0ull,
+        0ull, 0ull, 2152ull, 154ull,
+        813600ull, 8ull, 0ull, 3467ull,
+        220806ull, 0ull, 570ull, 1108ull,
+        180ull, 81ull, 0ull, 239ull,
+        0ull, 0ull, 475ull, 0ull,
+        0ull, 0ull, 0ull, 7812ull,
+        149ull, 36789ull, 1015ull, 0ull,
+        0ull, 0ull, 1768ull, 138ull,
+        814080ull, 8ull, 0ull, 3461ull,
+        220627ull, 0ull, 365ull, 1039ull,
+        189ull, 90ull, 0ull, 244ull,
+        0ull, 0ull, 366ull, 0ull,
+        0ull, 0ull, 0ull, 7799ull,
+        146ull, 37277ull, 1244ull, 0ull,
+        0ull, 0ull, 1960ull, 142ull,
+        817440ull, 8ull, 0ull, 3477ull,
+        221575ull, 0ull, 441ull, 1209ull,
+        239ull, 140ull, 0ull, 242ull,
+        0ull, 0ull, 340ull, 0ull,
+        0ull, 0ull, 0ull, 7733ull,
+        164ull, 39663ull, 2271ull, 0ull,
+        0ull, 0ull, 3569ull, 216ull,
+        818400ull, 8ull, 0ull, 3518ull,
+        223398ull, 0ull, 1242ull, 1311ull,
+        280ull, 182ull, 0ull, 280ull,
+        0ull, 0ull, 237ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
       {"ClusterBfsBase4DevStealXfer4",
-       {890562ull, 1ull, 434ull, 1659ull,
-        2230ull, 571ull, 0ull, 8801ull,
-        558ull, 11312ull, 1710ull, 54073ull,
-        2919ull, 0ull, 389ull, 0ull,
-        675600ull, 8ull, 0ull, 3073ull,
-        39ull, 194406ull, 671ull, 1267ull,
-        256ull, 2ull, 0ull, 54896ull,
-        2919ull, 1257ull, 588ull, 0ull,
-        0ull, 0ull, 0ull, 8826ull,
-        503ull, 11007ull, 1812ull, 45887ull,
-        2594ull, 0ull, 292ull, 0ull,
-        709920ull, 8ull, 0ull, 3213ull,
-        32ull, 203379ull, 684ull, 1153ull,
-        264ull, 12ull, 0ull, 46686ull,
-        2594ull, 1489ull, 419ull, 0ull,
-        0ull, 0ull, 0ull, 8704ull,
-        481ull, 11213ull, 2291ull, 43583ull,
-        4320ull, 0ull, 272ull, 0ull,
-        735120ull, 8ull, 0ull, 3303ull,
-        25ull, 208274ull, 899ull, 1161ull,
-        297ull, 48ull, 0ull, 44592ull,
-        4320ull, 306ull, 358ull, 0ull,
-        0ull, 0ull, 0ull, 8471ull,
-        466ull, 10936ull, 2629ull, 55912ull,
-        5080ull, 0ull, 203ull, 0ull,
-        712560ull, 8ull, 0ull, 3236ull,
-        29ull, 203485ull, 1083ull, 1066ull,
-        289ull, 41ull, 0ull, 57076ull,
-        5080ull, 417ull, 294ull, 0ull,
+       {945912ull, 1ull, 461ull, 1578ull,
+        2117ull, 539ull, 0ull, 9530ull,
+        578ull, 12157ull, 1588ull, 52051ull,
+        2331ull, 0ull, 366ull, 0ull,
+        744720ull, 8ull, 0ull, 3376ull,
+        22ull, 214050ull, 612ull, 1291ull,
+        254ull, 0ull, 0ull, 52823ull,
+        2331ull, 1389ull, 618ull, 0ull,
+        0ull, 0ull, 0ull, 9491ull,
+        499ull, 11993ull, 1951ull, 45630ull,
+        3201ull, 0ull, 271ull, 0ull,
+        791040ull, 8ull, 0ull, 3548ull,
+        17ull, 224524ull, 735ull, 1182ull,
+        278ull, 30ull, 0ull, 46476ull,
+        3201ull, 1399ull, 400ull, 0ull,
+        0ull, 0ull, 0ull, 9395ull,
+        461ull, 11687ull, 2222ull, 43650ull,
+        4199ull, 0ull, 232ull, 0ull,
+        822240ull, 8ull, 0ull, 3667ull,
+        25ull, 231680ull, 847ull, 1134ull,
+        301ull, 52ull, 0ull, 44602ull,
+        4199ull, 157ull, 308ull, 0ull,
+        0ull, 0ull, 0ull, 9069ull,
+        446ull, 11313ull, 2464ull, 60385ull,
+        4529ull, 0ull, 159ull, 0ull,
+        809520ull, 8ull, 0ull, 3647ull,
+        35ull, 230114ull, 1020ull, 955ull,
+        263ull, 12ull, 0ull, 61478ull,
+        4529ull, 367ull, 252ull, 0ull,
         0ull, 0ull, 0ull, 11286561016657162771ull}},
       {"ClusterSsspRfan4DevStealXfer4",
-       {952101ull, 1ull, 464ull, 1011ull,
-        1213ull, 202ull, 0ull, 9819ull,
-        207ull, 48144ull, 1157ull, 0ull,
-        0ull, 0ull, 2033ull, 164ull,
-        1031520ull, 8ull, 0ull, 4392ull,
-        280029ull, 0ull, 512ull, 860ull,
-        177ull, 78ull, 0ull, 260ull,
-        0ull, 100ull, 241ull, 0ull,
-        0ull, 0ull, 0ull, 9829ull,
-        217ull, 46367ull, 1073ull, 0ull,
-        0ull, 0ull, 1762ull, 160ull,
-        1030800ull, 8ull, 0ull, 4388ull,
-        279916ull, 0ull, 342ull, 1000ull,
-        197ull, 99ull, 0ull, 270ull,
-        0ull, 108ull, 289ull, 0ull,
-        0ull, 0ull, 0ull, 9812ull,
-        203ull, 46119ull, 1055ull, 0ull,
-        0ull, 0ull, 1753ull, 174ull,
-        1043280ull, 8ull, 0ull, 4441ull,
-        283292ull, 0ull, 358ull, 921ull,
-        176ull, 78ull, 0ull, 274ull,
-        0ull, 76ull, 270ull, 0ull,
-        0ull, 0ull, 0ull, 9708ull,
-        233ull, 49882ull, 1808ull, 0ull,
-        0ull, 0ull, 2754ull, 264ull,
-        1050480ull, 8ull, 0ull, 4525ull,
-        288086ull, 0ull, 812ull, 1186ull,
-        260ull, 168ull, 0ull, 322ull,
-        0ull, 305ull, 211ull, 0ull,
+       {843580ull, 1ull, 411ull, 856ull,
+        1015ull, 159ull, 0ull, 8500ull,
+        179ull, 42446ull, 1112ull, 0ull,
+        0ull, 0ull, 1884ull, 162ull,
+        884400ull, 8ull, 0ull, 3779ull,
+        240841ull, 0ull, 464ull, 859ull,
+        181ull, 82ull, 0ull, 244ull,
+        0ull, 114ull, 224ull, 0ull,
+        0ull, 0ull, 0ull, 8516ull,
+        163ull, 39297ull, 1015ull, 0ull,
+        0ull, 0ull, 1632ull, 138ull,
+        893280ull, 8ull, 0ull, 3799ull,
+        242279ull, 0ull, 318ull, 912ull,
+        191ull, 92ull, 0ull, 244ull,
+        0ull, 58ull, 231ull, 0ull,
+        0ull, 0ull, 0ull, 8485ull,
+        156ull, 40724ull, 1101ull, 0ull,
+        0ull, 0ull, 1734ull, 154ull,
+        903360ull, 8ull, 0ull, 3845ull,
+        245166ull, 0ull, 371ull, 939ull,
+        198ull, 100ull, 0ull, 243ull,
+        0ull, 50ull, 217ull, 0ull,
+        0ull, 0ull, 0ull, 8433ull,
+        192ull, 42010ull, 1569ull, 0ull,
+        0ull, 0ull, 2363ull, 228ull,
+        903360ull, 8ull, 0ull, 3889ull,
+        247601ull, 0ull, 667ull, 1070ull,
+        234ull, 140ull, 0ull, 286ull,
+        0ull, 185ull, 184ull, 0ull,
         0ull, 0ull, 0ull, 13581292894835281530ull}},
   };
   return kPins;
@@ -1311,6 +1332,41 @@ TEST_P(DriverGolden, MatchesPinnedSchedule) {
 INSTANTIATE_TEST_SUITE_P(
     FrontEnds, DriverGolden, ::testing::ValuesIn(golden_cases()),
     [](const ::testing::TestParamInfo<GoldenCase>& i) { return i.param.name; });
+
+// Transfer conservation at quiescence, from host reads alone: every
+// reserved transfer token was written and popped exactly once, every
+// popped token (plus one kStolen copy per steal) was delivered, and no
+// sub-ring holds a reservation. These bound how far a change to the
+// transfer path may move the cluster pins above.
+class ClusterConservation : public ::testing::TestWithParam<ClusterConfig> {};
+
+TEST_P(ClusterConservation, HoldsAtQuiescence) {
+  std::uint64_t hash = 0;
+  const bfs::ClusterRunResult r = run_cluster(GetParam(), hash);
+  ASSERT_FALSE(r.run.aborted) << r.run.abort_reason;
+  std::uint64_t rears = 0, written = 0;
+  for (const cluster::XferRingEnds& ring : r.run.xfer_rings) {
+    EXPECT_EQ(ring.front, ring.rear) << ring.src << "->" << ring.dst;
+    rears += ring.rear;
+  }
+  for (const simt::RunResult& d : r.run.device_runs) {
+    written += d.stats.user[kXferTokens];
+  }
+  const std::uint32_t n = GetParam().devices;
+  EXPECT_EQ(r.run.xfer_rings.size(), std::size_t{n} * (n - 1));
+  EXPECT_EQ(rears, written);
+  EXPECT_EQ(rears, r.run.router.drained);
+  EXPECT_EQ(r.run.router.delivered, r.run.router.drained + r.run.router.stolen);
+  if (n > 1) {
+    EXPECT_GT(rears, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FrontEnds, ClusterConservation, ::testing::ValuesIn(cluster_configs()),
+    [](const ::testing::TestParamInfo<ClusterConfig>& i) {
+      return i.param.name;
+    });
 
 }  // namespace
 }  // namespace scq

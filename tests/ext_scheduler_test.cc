@@ -248,6 +248,8 @@ TEST(DistributedQueueTest, RejectsBadQueueCounts) {
   Device dev(test_config());
   EXPECT_THROW((DistributedQueue{dev, 100, 0}), simt::SimError);
   EXPECT_THROW((DistributedQueue{dev, 100, 64}), simt::SimError);
+  // Rejected before anything is allocated, not wrapped past the limit.
+  EXPECT_THROW((DistributedQueue{dev, 100, ~std::uint32_t{0}}), simt::SimError);
 }
 
 TEST(DistributedQueueTest, PublishGoesToOwnCuQueue) {
@@ -311,8 +313,35 @@ TEST(DistributedQueueTest, AllDoneSumsEveryRear) {
 TEST(DistributedQueueTest, SeedBeyondSubQueueThrows) {
   Device dev(test_config(4, 1));
   DistributedQueue q(dev, 16, 4);  // 4 slots per sub-queue
-  const std::vector<std::uint64_t> many(5, 1);
+  // Seeds spread over the home rings, so only more tokens than the
+  // whole queue holds must overfill one of them.
+  const std::vector<std::uint64_t> many(17, 1);
   EXPECT_THROW(q.seed(dev, many), simt::SimError);
+}
+
+// Seed i enters home ring i mod K, as a producer on CU i would publish
+// it, so a many-seed task graph runs on DISTRIB in one attempt: the
+// front-end sizes the queue by the whole batch, and ring 0 alone holds
+// only capacity / K of it.
+TEST(DistributedQueueTest, ThousandSeedTaskGraphRunsInOneAttempt) {
+  Device dev(test_config(4, 1));
+  DistributedQueue q(dev, 16, 4);
+  q.seed(dev, std::vector<std::uint64_t>(10, 1));
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(dev.read_word(q.rear_of(k)), k < 2 ? 3u : 2u) << "ring " << k;
+  }
+
+  std::vector<tasks::TaskSeed> seeds;
+  for (std::uint64_t i = 0; i < 1000; ++i) seeds.push_back({i, 0});
+  tasks::TaskGraphOptions opt;
+  opt.variant = QueueVariant::kDistrib;
+  std::uint64_t ran = 0;
+  const tasks::TaskGraphResult r = tasks::run_task_graph(
+      simt::spectre_config(), seeds, [&](tasks::TaskContext&) { ++ran; }, opt);
+  ASSERT_FALSE(r.run.aborted) << r.run.abort_reason;
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(r.stats.executions, 1000u);
+  EXPECT_EQ(ran, 1000u);
 }
 
 // ---- End-to-end: the PT driver and BFS run on the new schedulers ----
@@ -432,8 +461,9 @@ TEST_P(RingCoreReads, RejectedSeedLeavesTheQueueAsItWas) {
   const auto queue = make_scheduler(dev, GetParam(), 64);
   queue->seed(dev, std::vector<std::uint64_t>{1, 2, 3, 4, 5});
 
-  // Every small token routes to sub-ring 0, so this overfills it.
-  const std::vector<std::uint64_t> overfull(queue->per_ring_capacity() + 1, 7);
+  // More tokens than the whole queue holds overfill a sub-ring however
+  // the queue routes them.
+  const std::vector<std::uint64_t> overfull(queue->capacity() + 1, 7);
   EXPECT_THROW(queue->seed(dev, overfull), simt::SimError);
   EXPECT_THROW(queue->seed(dev, std::vector<std::uint64_t>{6, kMaxToken + 1}),
                simt::SimError);

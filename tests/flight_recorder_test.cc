@@ -39,7 +39,7 @@ TEST(FlightRecorderTest, WaitTablesTrackClaimsAndReservations) {
   rec.record({FlightKind::kClaim, 3, 0, 17, 0, 2, 100});
   rec.record({FlightKind::kReserve, 5, 0, 9, 42, 1, 101});
   // Same ticket on a transfer ring is a distinct key (unit differs).
-  rec.record({FlightKind::kXferReserve, 6, 2, 9, 43, 0, 102});
+  rec.record({FlightKind::kReserve, 6, 2, 9, 43, 0, 102});
 
   auto monitors = rec.monitors();
   auto parked = rec.parked();
@@ -62,7 +62,7 @@ TEST(FlightRecorderTest, WaitTablesTrackClaimsAndReservations) {
   EXPECT_TRUE(rec.monitors().empty());
   ASSERT_EQ(rec.parked().size(), 1u);
   EXPECT_EQ(rec.parked().begin()->first, xfer_key);
-  rec.record({FlightKind::kXferWrite, 6, 2, 9, 43, 0, 112});
+  rec.record({FlightKind::kWrite, 6, 2, 9, 43, 0, 112});
   EXPECT_TRUE(rec.parked().empty());
 }
 

@@ -83,6 +83,32 @@ TEST(PostmortemTest, ClusterStallReportNamesDeviceAndBand) {
       << report.render();
 }
 
+TEST(PostmortemTest, ParkedTransferNamesItsDestination) {
+  const ForcedDump forced = scq::fuzz::forced_transfer_park_dump();
+  EXPECT_EQ(forced.json, scq::fuzz::forced_transfer_park_dump().json);
+  const auto doc = scq::util::parse_json(forced.json);
+  ASSERT_TRUE(doc.has_value());
+  const PostmortemReport report = scq::util::analyze_black_box(*doc);
+  ASSERT_TRUE(report.valid) << report.validation_error;
+
+  // Device 1's sub-ring 0 leads to device 0 and sub-ring 1 to device 2;
+  // the ring unit names the destination, not the sub-ring.
+  const std::string rendered = report.render();
+  for (const char* dst : {"->dev0", "->dev2"}) {
+    EXPECT_TRUE(any_contains(
+        report.wait_edges,
+        std::string("dev1 wave 0 parked on transfer ring ") + dst))
+        << rendered;
+  }
+  EXPECT_FALSE(any_contains(report.wait_edges, "->dev1")) << rendered;
+  EXPECT_TRUE(any_contains(report.wait_edges, "awaits host drain")) << rendered;
+  // Four of each ring's six tokens landed; two wait per ring.
+  EXPECT_TRUE(any_contains(report.verdicts, "ring dev1->dev0: 6 undelivered"))
+      << rendered;
+  EXPECT_TRUE(any_contains(report.verdicts, "ring dev1->dev2: 6 undelivered"))
+      << rendered;
+}
+
 TEST(PostmortemTest, MutationKillTamperedDumpFailsValidation) {
   const ForcedDump forced = scq::fuzz::forced_publish_deadlock_dump();
   const auto doc = scq::util::parse_json(forced.json);

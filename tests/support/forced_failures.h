@@ -4,7 +4,7 @@
 // and by bench/postmortem's --force mode (the CI smoke step that proves
 // the whole dump -> analyze pipeline end to end).
 //
-// Both scenarios are fully deterministic: fixed device config, no
+// Every scenario is fully deterministic: fixed device config, no
 // schedule jitter, fixed seeds — two invocations produce byte-identical
 // dump documents (asserted by tests).
 #pragma once
@@ -32,5 +32,12 @@ struct ForcedDump {
 // stall detector aborts the superstep loop and the dump names the
 // device and band holding the orphaned work.
 [[nodiscard]] ForcedDump forced_cluster_stall_dump();
+
+// Parked transfers: device 1 of a three-device cluster publishes six
+// tokens toward device 0 and six toward device 2 through 4-slot
+// transfer sub-rings, and no barrier drains them. Two reservations per
+// destination stall, and the snapshot's wait table shows device 1's
+// wave parked on each ring, awaiting the host.
+[[nodiscard]] ForcedDump forced_transfer_park_dump();
 
 }  // namespace scq::fuzz

@@ -109,7 +109,7 @@ const std::map<std::string, std::uint64_t>& pins() {
       {"base_tasks_s5", 11365880929396472913ull},
       {"base_tree_s12", 15812813502544616674ull},
       {"base_tree_s5", 4617543559134140309ull},
-      {"cluster_bfs_2_devices", 15723210223960764399ull},
+      {"cluster_bfs_2_devices", 16530149248935687530ull},
       {"delta_sssp_8_bands", 11913290392725448489ull},
       {"distrib_ternary_tree", 14672415391378061324ull},
       {"mq_chain_s12", 3092076132577871798ull},
